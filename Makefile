@@ -1,6 +1,6 @@
 # Tier-1 verification: build, formatting, tests.
 
-.PHONY: all build fmt test bench bench-json bench-smoke bench-diff chaos par par-ingest export-par drill check fullscale
+.PHONY: all build fmt test bench bench-json bench-smoke bench-diff chaos par par-ingest export-par drill perfbench-selftest check fullscale
 
 all: build
 
@@ -68,4 +68,11 @@ export-par:
 drill:
 	dune exec test/test_drill.exe
 
-check: fmt build test chaos par par-ingest export-par drill bench-diff
+# Repository benchmark self-test: every workload runs a fixed tick count
+# twice and must repeat its counts and output checks exactly (see
+# perfbench/README.md; the timed benchmark itself is
+# `python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1`).
+perfbench-selftest:
+	dune build @perfbench/selftest
+
+check: fmt build test chaos par par-ingest export-par drill perfbench-selftest bench-diff

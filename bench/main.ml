@@ -950,10 +950,6 @@ let micro () =
                match Eth.decode frame with
                | Ok f -> ignore (Ipv4_packet.decode f.Eth.payload)
                | Error _ -> ()));
-        Test.make ~name:"data-plane-forward"
-          (Staged.stage (fun () ->
-               Vbgp.Router.forward_experiment_frame fwd_router
-                 ~neighbor_id:fwd_neighbor_id fwd_frame));
         Test.make ~name:"data-plane-forward-cached"
           (Staged.stage (fun () ->
                Vbgp.Router.forward_experiment_frame fwd_router

@@ -99,9 +99,11 @@ let run_demo pops_count transits peers seconds =
           Fmt.pr "  %-16s out=%d pkts (%d B)  in=%d pkts@." name out bytes inn)
         (Vbgp.Router.attribution (Pop.router first));
       Fmt.pr "@.%s" (Toolkit.cli kit "show protocols");
-      Fmt.pr "@.trace tail:@.";
-      let entries = Sim.Trace.entries (Platform.trace platform) in
+      let trace = Platform.trace platform in
+      let entries = Sim.Trace.entries trace in
       let n = List.length entries in
+      Fmt.pr "@.trace tail (%d entries kept, %d dropped at capacity):@." n
+        (Sim.Trace.dropped trace);
       List.iteri
         (fun i e ->
           if i >= n - 8 then Fmt.pr "%a@." Sim.Trace.pp_entry e)

@@ -210,7 +210,7 @@ type resolution =
   | Uncacheable
 
 type tail_decision =
-  | Tail_pass
+  | Tail_pass of Ipv4_packet.t option
   | Tail_rewritten of Ipv4_packet.t
   | Tail_blocked of string
 
@@ -290,21 +290,22 @@ let replay_block t ~now blocker reason =
 
 (* The per-hit half of a memoized head pass: credit the head filters and
    run the stateful tail. The packet record is only materialized when a
-   tail actually exists; a fully stateless chain touches nothing but
-   counters. A tail Transform surfaces as [Tail_rewritten] so the caller
-   can fall back to the slow path (the rewrite may change the flow's
-   destination). *)
+   tail actually exists, and a pass hands it back so the caller forwards
+   it instead of materializing a second one; a fully stateless chain
+   touches nothing but counters. A tail Transform surfaces as
+   [Tail_rewritten] so the caller can fall back to the slow path (the
+   rewrite may change the flow's destination). *)
 let check_tail t ~now ~meta view =
   refresh t;
   List.iter (fun f -> f.f_allowed <- f.f_allowed + 1) t.head;
   match t.tail with
   | [] ->
       t.allowed <- t.allowed + 1;
-      Tail_pass
+      Tail_pass None
   | tail -> (
       let packet = Ipv4_packet.View.to_packet view in
       match run_chain t ~now ~meta packet tail with
-      | Allowed p when p == packet -> Tail_pass
+      | Allowed p when p == packet -> Tail_pass (Some packet)
       | Allowed p -> Tail_rewritten p
       | Blocked reason -> Tail_blocked reason)
 

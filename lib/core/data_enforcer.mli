@@ -130,7 +130,10 @@ type resolution =
 
 (** What the stateful tail said about one cache-hit packet. *)
 type tail_decision =
-  | Tail_pass
+  | Tail_pass of Ipv4_packet.t option
+      (** the tail passed the packet unchanged; carries the record the
+          tail ran on ([None] when the chain has no tail and no record
+          was built), so the caller need not materialize another *)
   | Tail_rewritten of Ipv4_packet.t
       (** a tail filter rewrote the packet; the caller must fall back to
           the slow path (the rewrite may change the destination) *)
@@ -149,7 +152,8 @@ val check_tail :
   t -> now:float -> meta:meta -> Ipv4_packet.View.t -> tail_decision
 (** Account one cache-hit packet of a flow whose memoized verdict is a
     head pass, and run the stateful tail on it. Only materializes a
-    packet record when a tail filter actually exists. *)
+    packet record when a tail filter actually exists, and then at most
+    once: a pass returns it as [Tail_pass (Some p)]. *)
 
 (** {1 Sharded data plane}
 

@@ -12,9 +12,14 @@
    per-neighbor flow cache keyed by (source MAC, src, dst). Entries are
    stamped with three generations — the neighbor FIB's, the enforcement
    chain's, and the owner table's — and self-invalidate when any source
-   of the decision changes; no explicit flush exists. Stateful filters
-   (the token-bucket shaper) still run on every packet via the
-   enforcement chain's stateless-head/stateful-tail split. *)
+   of the decision changes; no explicit flush exists. Every mutation
+   that changes a binding bumps its generation, and only those: every
+   entry of a neighbor's FIB is the neighbor itself, so re-announcements
+   that move only the AS path, MED or communities write nothing and the
+   neighbor's flows stay cached through them. Stateful filters (the
+   token-bucket shaper) still run on every packet via the enforcement
+   chain's stateless-head/stateful-tail split; a hit materializes the
+   frame as a record at most once, for the tail and delivery together. *)
 
 open Netcore
 open Sim
@@ -177,10 +182,18 @@ let resolve_and_forward t ~ns ~fib ~now ~sender ~src_mac ~store view =
         (Ipv4_packet.header_size + String.length packet.Ipv4_packet.payload);
       forward_allowed_packet t ~ns ~fib packet
 
+(* The record a cache hit forwards: the one the stateful tail already
+   built, or else one read out of the wire bytes. *)
+let hit_packet view = function
+  | Some packet -> packet
+  | None -> Ipv4_packet.View.to_packet view
+
 (* Serve one frame from a memoized flow decision. The stateless head is
    replayed as counter/trace bookkeeping; the stateful tail still runs
-   on the packet. The wire bytes are forwarded in place (TTL decremented
-   with an incremental checksum fix, no re-encode). *)
+   on the packet. The frame is materialized as a record at most once,
+   and only where it leaves: for the ICMP error or for delivery. When a
+   tail ran, the record it built is the one forwarded; a memoized
+   no-route verdict is counted without building one. *)
 let execute_cached t ~ns ~fib ~now view fe =
   match fe.f_action with
   | Fblock (f, reason) ->
@@ -199,27 +212,27 @@ let execute_cached t ~ns ~fib ~now view fe =
             (Ipv4_packet.header_size
             + String.length packet.Ipv4_packet.payload);
           forward_allowed_packet t ~ns ~fib packet
-      | Data_enforcer.Tail_pass ->
+      | Data_enforcer.Tail_pass tailed -> (
           attribute_out fe.f_exp (Ipv4_packet.View.total_length view);
           if Ipv4_packet.View.ttl view <= 1 then
-            deliver_inbound t
-              (icmp_ttl_exceeded t (Ipv4_packet.View.to_packet view))
-          else begin
-            Ipv4_packet.View.decrement_ttl view;
+            deliver_inbound t (icmp_ttl_exceeded t (hit_packet view tailed))
+          else
             match action with
             | Fforward entry ->
+                let packet =
+                  Ipv4_packet.decrement_ttl (hit_packet view tailed)
+                in
                 if Neighbor.is_alias ns.info then
                   forward_over_backbone t ~global_ip:entry.Rib.Fib.next_hop
-                    (Ipv4_packet.View.to_packet view)
+                    packet
                 else begin
                   t.counters.packets_to_neighbors <-
                     t.counters.packets_to_neighbors + 1;
-                  ns.deliver (Ipv4_packet.View.to_packet view)
+                  ns.deliver packet
                 end
             | Fnofib ->
                 t.counters.packets_dropped <- t.counters.packets_dropped + 1
-            | Fblock _ -> assert false
-          end)
+            | Fblock _ -> assert false))
 
 (* Forward a frame an experiment put on the wire: the destination MAC
    picks the neighbor table (the heart of §3.2.2). Cheap rejections

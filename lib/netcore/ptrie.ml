@@ -87,7 +87,11 @@ module Make (K : KEY) = struct
     | Some (key, value), Empty, Empty -> Leaf { key; value }
     | Some (key, value), _, _ -> Bind { key; value; zero; one }
 
-  let add' key value t =
+  (* Physically equal result when [key] is already bound to a value
+     [equal] to [value]: the walk rebuilds a node only when the child it
+     descended into came back changed, so a no-op write allocates nothing
+     beyond the flag and callers detect it with one [==]. *)
+  let add' ~equal key value t =
     let klen = K.length key in
     let replaced = ref false in
     (* Bits [0, lo) of [key] are already known to match the subtree;
@@ -107,12 +111,12 @@ module Make (K : KEY) = struct
         else Bind { key; value; zero = t; one = Empty }
       else if klen = len then (
         match t with
-        | Leaf _ ->
+        | Leaf { value = v; _ } ->
             replaced := true;
-            Leaf { key; value }
-        | Bind { zero; one; _ } ->
+            if equal v value then t else Leaf { key; value }
+        | Bind { value = v; zero; one; _ } ->
             replaced := true;
-            Bind { key; value; zero; one }
+            if equal v value then t else Bind { key; value; zero; one }
         | Branch { zero; one; _ } -> Bind { key; value; zero; one }
         | Empty -> assert false)
       else if K.bit key len then (
@@ -120,18 +124,24 @@ module Make (K : KEY) = struct
         | Leaf { key = k; value = v } ->
             Bind { key = k; value = v; zero = Empty; one = go (len + 1) Empty }
         | Bind { key = k; value = v; zero; one } ->
-            Bind { key = k; value = v; zero; one = go (len + 1) one }
+            let one' = go (len + 1) one in
+            if one' == one then t
+            else Bind { key = k; value = v; zero; one = one' }
         | Branch { rep; len; zero; one } ->
-            Branch { rep; len; zero; one = go (len + 1) one }
+            let one' = go (len + 1) one in
+            if one' == one then t else Branch { rep; len; zero; one = one' }
         | Empty -> assert false)
       else
         match t with
         | Leaf { key = k; value = v } ->
             Bind { key = k; value = v; zero = go (len + 1) Empty; one = Empty }
         | Bind { key = k; value = v; zero; one } ->
-            Bind { key = k; value = v; zero = go (len + 1) zero; one }
+            let zero' = go (len + 1) zero in
+            if zero' == zero then t
+            else Bind { key = k; value = v; zero = zero'; one }
         | Branch { rep; len; zero; one } ->
-            Branch { rep; len; zero = go (len + 1) zero; one }
+            let zero' = go (len + 1) zero in
+            if zero' == zero then t else Branch { rep; len; zero = zero'; one }
         | Empty -> assert false
     and go lo t =
       match t with
@@ -143,7 +153,7 @@ module Make (K : KEY) = struct
     let t = go 0 t in
     (t, !replaced)
 
-  let add key value t = fst (add' key value t)
+  let add key value t = fst (add' ~equal:( == ) key value t)
 
   (* Physically equal result when the key is unbound, so callers can
      detect a no-op without a separate [mem] walk. *)

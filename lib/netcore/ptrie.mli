@@ -37,9 +37,12 @@ module Make (K : KEY) : sig
   val add : K.t -> 'a -> 'a t -> 'a t
   (** Insert or replace the binding for the key. *)
 
-  val add' : K.t -> 'a -> 'a t -> 'a t * bool
+  val add' : equal:('a -> 'a -> bool) -> K.t -> 'a -> 'a t -> 'a t * bool
   (** Like {!add}, also reporting whether the key was already bound — a
-      single walk where [mem] followed by [add] would take two. *)
+      single walk where [mem] followed by [add] would take two. Returns a
+      physically equal trie when the key is already bound to a value
+      [equal] to the new one, so callers can detect a no-op write with
+      one [==], the same contract as {!remove}. *)
 
   val remove : K.t -> 'a t -> 'a t
   (** Remove the binding; dead branches are collapsed. Returns a
@@ -76,7 +79,8 @@ module V4 : sig
   val empty : 'a t
   val is_empty : 'a t -> bool
   val add : Prefix.t -> 'a -> 'a t -> 'a t
-  val add' : Prefix.t -> 'a -> 'a t -> 'a t * bool
+  val add' :
+    equal:('a -> 'a -> bool) -> Prefix.t -> 'a -> 'a t -> 'a t * bool
   val remove : Prefix.t -> 'a t -> 'a t
   val find : Prefix.t -> 'a t -> 'a option
   val mem : Prefix.t -> 'a t -> bool
@@ -98,7 +102,8 @@ module V6 : sig
   val empty : 'a t
   val is_empty : 'a t -> bool
   val add : Prefix_v6.t -> 'a -> 'a t -> 'a t
-  val add' : Prefix_v6.t -> 'a -> 'a t -> 'a t * bool
+  val add' :
+    equal:('a -> 'a -> bool) -> Prefix_v6.t -> 'a -> 'a t -> 'a t * bool
   val remove : Prefix_v6.t -> 'a t -> 'a t
   val find : Prefix_v6.t -> 'a t -> 'a option
   val mem : Prefix_v6.t -> 'a t -> bool

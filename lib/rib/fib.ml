@@ -8,8 +8,13 @@
 
    Lookups go through a generation-stamped destination cache (Dcache):
    repeated flows to one destination skip the trie entirely, and every
-   mutation — [insert], a binding-removing [remove], [clear] — bumps the
-   generation so no stale result is ever served. *)
+   mutation that changes a binding — an [insert] of a new or different
+   entry, a binding-removing [remove], [clear] — bumps the generation so
+   no stale result is ever served. Writes that change no binding bump
+   nothing: every entry of a per-neighbor table is the neighbor itself,
+   so a re-announcement that only moves the AS path, MED or communities
+   leaves the table, its generation and every cache stamped with it
+   untouched. *)
 
 open Netcore
 
@@ -29,11 +34,21 @@ let create () =
 
 let entry_count t = t.count
 
+let entry_equal a b =
+  a.neighbor = b.neighbor && Ipv4.equal a.next_hop b.next_hop
+
 let insert t prefix entry =
-  let trie, was_bound = Ptrie.V4.add' prefix entry t.trie in
-  if not was_bound then t.count <- t.count + 1;
-  t.trie <- trie;
-  Dcache.invalidate t.cache
+  (* [Ptrie.add' ~equal] returns a physically equal trie when the prefix
+     is already bound to an equal entry, so one walk both writes and
+     tells us whether forwarding changed. *)
+  let trie, was_bound =
+    Ptrie.V4.add' ~equal:entry_equal prefix entry t.trie
+  in
+  if trie != t.trie then begin
+    if not was_bound then t.count <- t.count + 1;
+    t.trie <- trie;
+    Dcache.invalidate t.cache
+  end
 
 let remove t prefix =
   (* [Ptrie.remove] returns a physically equal trie on a no-op, so one
@@ -58,9 +73,10 @@ let lookup t addr =
       result
 
 (* The destination cache's generation doubles as the table's mutation
-   stamp: every insert/remove/clear bumps it, so external caches (the
-   data plane's flow cache) can stamp entries with it and self-invalidate
-   on the next lookup instead of being flushed explicitly. *)
+   stamp: every insert/remove/clear that changes a binding bumps it, so
+   external caches (the data plane's flow cache) can stamp entries with
+   it and self-invalidate on the next lookup instead of being flushed
+   explicitly. *)
 let generation t = Dcache.generation t.cache
 
 (* The trie value itself is an immutable persistent structure; mutation

@@ -18,18 +18,22 @@ val create : unit -> t
 val entry_count : t -> int
 
 val insert : t -> Prefix.t -> entry -> unit
-(** Replaces any entry for the same prefix. *)
+(** Replaces any entry for the same prefix. Inserting an entry equal to
+    the one already bound (same next hop and neighbor) is a no-op: the
+    trie, the entry count and {!generation} are all left as they were. *)
 
 val remove : t -> Prefix.t -> unit
 
 val lookup : t -> Ipv4.t -> entry option
 (** Longest-prefix match, through a generation-stamped destination cache:
     repeated lookups of one address skip the trie, and any [insert],
-    [remove], or [clear] invalidates the cache before the next lookup. *)
+    [remove], or [clear] that changes a binding invalidates the cache
+    before the next lookup. *)
 
 val generation : t -> int
 (** The table's mutation stamp (the destination cache's generation):
-    bumped by every [insert], binding-removing [remove], and [clear].
+    bumped by every mutation that changes a binding — an [insert] of a
+    new or different entry, a binding-removing [remove], and [clear].
     External caches stamp derived entries with it and treat a mismatch
     as invalidation. *)
 

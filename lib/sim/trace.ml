@@ -9,10 +9,11 @@ type t = {
   mutable count : int;
   capacity : int;
   mutable enabled : bool;
+  mutable dropped : int;  (** entries evicted at capacity, ever *)
 }
 
 let create ?(capacity = 10_000) () =
-  { entries = []; count = 0; capacity; enabled = true }
+  { entries = []; count = 0; capacity; enabled = true; dropped = 0 }
 
 let set_enabled t enabled = t.enabled <- enabled
 let enabled t = t.enabled
@@ -28,10 +29,13 @@ let record t ~time ~category fmt =
           (* Drop the oldest half; amortized O(1) per record. *)
           let keep = t.capacity / 2 in
           t.entries <- List.filteri (fun i _ -> i < keep) t.entries;
+          t.dropped <- t.dropped + (t.count - keep);
           t.count <- keep
         end
       end)
     fmt
+
+let dropped t = t.dropped
 
 (* Entries oldest-first. *)
 let entries t = List.rev t.entries

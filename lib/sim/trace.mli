@@ -16,7 +16,13 @@ val enabled : t -> bool
 
 val record :
   t -> time:float -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Printf-style; drops the oldest half when over capacity. *)
+(** Printf-style; drops the oldest half when over capacity, counting the
+    dropped entries in {!dropped}. *)
+
+val dropped : t -> int
+(** Entries evicted at capacity since creation — a non-zero value means
+    {!entries} no longer holds the whole history. {!clear} does not reset
+    it: a cleared entry was discarded on purpose, not lost. *)
 
 val entries : t -> entry list
 (** Oldest first. *)

@@ -153,12 +153,15 @@ let make_router ?data ?(flow_cache = true) () =
   Sim.Engine.run_until engine 5.;
   { engine; router; n1; delivered }
 
-let announce fx prefix =
+(* [path] extends the AS path past the neighbor's own AS: a
+   re-announcement with another [path] changes the route's attributes
+   but not where its traffic goes. *)
+let announce ?(path = []) fx prefix =
   Router.process_neighbor_update fx.router ~neighbor_id:fx.n1
     (Msg.update
        ~attrs:
          (Attr.origin_attrs
-            ~as_path:(Aspath.of_asns [ asn 100 ])
+            ~as_path:(Aspath.of_asns (List.map asn (100 :: path)))
             ~next_hop:(ip "100.64.0.1") ())
        ~announced:[ Msg.nlri prefix ]
        ())
@@ -216,6 +219,52 @@ let test_invalidate_on_fib_change () =
   checki "withdraw forces a miss" 3 c.Router.flow_misses;
   checki "no delivery without a route" 3 (List.length !(fx.delivered));
   checki "dropped instead" 1 c.Router.packets_dropped
+
+(* Every entry of a neighbor's FIB is the neighbor itself, so a
+   re-announcement that only moves the AS path writes nothing: the flow
+   stays a hit. Changes that do move forwarding — a new more-specific, a
+   new covering prefix, a withdraw — still force a miss. *)
+let test_attribute_churn_keeps_flow () =
+  let fx = make_router () in
+  let covering = pfx "192.168.0.0/24" in
+  announce fx covering;
+  let p = packet ~dst:"192.168.0.9" () in
+  fwd fx p;
+  fwd fx p;
+  let c = Router.counters fx.router in
+  for round = 1 to 3 do
+    announce ~path:[ 200 + round ] fx covering;
+    fwd fx p
+  done;
+  let installed_path =
+    match Router.neighbor fx.router fx.n1 with
+    | Some ns -> (
+        match Rib.Table.best ns.Router.rib_in covering with
+        | Some r -> List.map Asn.to_int (Aspath.to_asns (Rib.Route.as_path r))
+        | None -> [])
+    | None -> []
+  in
+  checkb "the re-announcement reached the RIB" true
+    (installed_path = [ 100; 203 ]);
+  checki "one miss" 1 c.Router.flow_misses;
+  checki "hits through attribute churn" 4 c.Router.flow_hits;
+  announce fx (pfx "192.168.0.0/25");
+  fwd fx p;
+  checki "new more-specific forces a miss" 2 c.Router.flow_misses;
+  fwd fx p;
+  checki "then warms again" 5 c.Router.flow_hits;
+  announce fx (pfx "192.168.0.0/16");
+  fwd fx p;
+  checki "new covering prefix forces a miss" 3 c.Router.flow_misses;
+  announce ~path:[ 999 ] fx (pfx "192.168.0.0/25");
+  fwd fx p;
+  checki "still a hit after path-only churn" 6 c.Router.flow_hits;
+  withdraw fx (pfx "192.168.0.0/25");
+  fwd fx p;
+  checki "withdraw forces a miss" 4 c.Router.flow_misses;
+  checki "every frame delivered" 10 (List.length !(fx.delivered));
+  checkb "deliveries identical throughout" true
+    (List.for_all (fun q -> q = Ipv4_packet.decrement_ttl p) !(fx.delivered))
 
 let test_invalidate_on_add_filter () =
   let fx = make_router () in
@@ -329,11 +378,69 @@ let test_shaper_under_cache () =
     (Data_enforcer.stats (Router.data_enforcer cached.router)
     = Data_enforcer.stats (Router.data_enforcer slow.router))
 
+(* A hit forwards the record the stateful tail built, or reads one out
+   of the frame when there is no tail: what it delivers — the forwarded
+   packet, and the TTL-exceeded ICMP a TTL-1 frame earns — must equal the
+   slow path's records exactly, and a flow with no route is dropped on
+   every hit. The ICMP reaches a local experiment, whose frames are
+   captured off the experiment LAN. *)
+let hit_records ~tail () =
+  let run ~flow_cache =
+    let d = Data_enforcer.create () in
+    if tail then
+      Data_enforcer.add_filter d
+        (Data_enforcer.shaper ~name:"pop-shaper" ~rate:0. ~burst:1e9
+           ~key_of:(fun _ -> "pop") ());
+    let fx = make_router ~data:d ~flow_cache () in
+    announce fx (pfx "192.168.0.0/24");
+    let exp_mac = Mac.local ~pool:2 1 in
+    let grant =
+      Control_enforcer.grant ~asns:[ asn 61574 ]
+        ~prefixes:[ pfx "184.164.224.0/24" ]
+        "exp001"
+    in
+    let pair = Router.connect_experiment fx.router ~grant ~mac:exp_mac () in
+    Sim.Bgp_wire.start pair;
+    Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 5.);
+    Router_state.owner_insert fx.router (pfx "184.164.224.0/24")
+      (Router_state.Local_exp "exp001");
+    let to_exp = ref [] in
+    Sim.Lan.attach fx.router.Router_state.exp_lan exp_mac (fun f ->
+        to_exp := f.Eth.payload :: !to_exp);
+    for i = 1 to 4 do
+      fwd fx ~src_mac:exp_mac
+        (packet ~dst:"192.168.0.9" ~ident:i ~payload:(String.make 40 'm') ());
+      fwd fx ~src_mac:exp_mac (packet ~dst:"192.168.0.10" ~ttl:1 ~ident:i ());
+      fwd fx ~src_mac:exp_mac (packet ~dst:"172.16.0.9" ~ident:i ())
+    done;
+    Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 1.);
+    (fx, !to_exp)
+  in
+  let cached, cached_icmp = run ~flow_cache:true in
+  let slow, slow_icmp = run ~flow_cache:false in
+  let cc = Router.counters cached.router in
+  let sc = Router.counters slow.router in
+  checki "three flows missed once each" 3 cc.Router.flow_misses;
+  checki "the rest hit" 9 cc.Router.flow_hits;
+  checki "four forwarded" 4 (List.length !(cached.delivered));
+  checki "no-route frames dropped" 4 cc.Router.packets_dropped;
+  checki "dropped as on the slow path" sc.Router.packets_dropped
+    cc.Router.packets_dropped;
+  checkb "forwarded records equal the slow path's" true
+    (!(cached.delivered) = !(slow.delivered));
+  checki "four ICMP sent" 4 cc.Router.icmp_sent;
+  checki "four ICMP delivered" 4 (List.length cached_icmp);
+  checkb "ICMP records equal the slow path's" true (cached_icmp = slow_icmp);
+  checkb "identical filter stats" true
+    (Data_enforcer.filter_stats (Router.data_enforcer cached.router)
+    = Data_enforcer.filter_stats (Router.data_enforcer slow.router))
+
 (* -- differential property: cached == slow path ------------------------------------ *)
 
 type op =
   | Fwd of int * int * int  (* flow index, ttl index, payload length *)
   | Announce of int
+  | Reannounce_path of int * int  (* prefix index, AS-path variant *)
   | Withdraw of int
   | Add_noop_filter
 
@@ -377,6 +484,8 @@ let apply_op fx = function
       in
       fwd fx p
   | Announce i -> announce fx prefixes.(i mod Array.length prefixes)
+  | Reannounce_path (i, v) ->
+      announce ~path:[ 200 + v ] fx prefixes.(i mod Array.length prefixes)
   | Withdraw i -> withdraw fx prefixes.(i mod Array.length prefixes)
   | Add_noop_filter ->
       Data_enforcer.add_filter
@@ -393,6 +502,9 @@ let gen_op =
             (fun a b c -> Fwd (a, b, c))
             (int_bound 7) (int_bound 2) (int_bound 31) );
         (1, map (fun i -> Announce i) (int_bound 3));
+        ( 1,
+          map2 (fun i v -> Reannounce_path (i, v)) (int_bound 3) (int_bound 3)
+        );
         (1, map (fun i -> Withdraw i) (int_bound 3));
         (1, return Add_noop_filter);
       ])
@@ -495,6 +607,8 @@ let () =
             test_flow_cache_hits;
           Alcotest.test_case "invalidated by fib change" `Quick
             test_invalidate_on_fib_change;
+          Alcotest.test_case "kept through attribute-only churn" `Quick
+            test_attribute_churn_keeps_flow;
           Alcotest.test_case "invalidated by add_filter" `Quick
             test_invalidate_on_add_filter;
           Alcotest.test_case "invalidated by experiment attach" `Quick
@@ -503,6 +617,10 @@ let () =
             test_invalidate_on_owner_change;
           Alcotest.test_case "stateful shaper still runs per packet" `Quick
             test_shaper_under_cache;
+          Alcotest.test_case "tail hit records equal the slow path's" `Quick
+            (hit_records ~tail:true);
+          Alcotest.test_case "tailless hit records equal the slow path's"
+            `Quick (hit_records ~tail:false);
           QCheck_alcotest.to_alcotest prop_cached_equals_slow;
         ] );
       ( "enforcer",

@@ -357,10 +357,13 @@ let test_ptrie_map_filter () =
 
 (* Differential tests: drive the Patricia trie and a naive assoc-list model
    through the same randomized add'/remove schedule, checking the add'
-   was-bound flag, the remove physical-equality no-op contract, and the
+   was-bound flag, both physical-equality no-op contracts (a remove of an
+   unbound key, an add' of a value equal to the bound one), and the
    cardinal at every step; then compare exact finds and longest matches.
-   The prefix pools are biased toward nesting (prefix-of-prefix chains,
-   including /0 and full-length host keys) to exercise span splits. *)
+   Values come from a small range so equal re-adds happen often; an
+   unequal one must yield a new trie whose find sees it. The prefix pools
+   are biased toward nesting (prefix-of-prefix chains, including /0 and
+   full-length host keys) to exercise span splits. *)
 
 let test_ptrie_differential_v4 () =
   let rng = Random.State.make [| 0x9e37 |] in
@@ -383,13 +386,18 @@ let test_ptrie_differential_v4 () =
   let model_drop q =
     List.filter (fun (r, _) -> not (Prefix.equal r q)) !model
   in
-  for step = 1 to 2_000 do
+  for _ = 1 to 2_000 do
     let q = pool.(Random.State.int rng (Array.length pool)) in
     if Random.State.bool rng then begin
-      let t', was_bound = Ptrie.V4.add' q step !trie in
+      let v = Random.State.int rng 3 in
+      let t', was_bound = Ptrie.V4.add' ~equal:Int.equal q v !trie in
       checkb "add' was-bound flag" (model_mem q) was_bound;
+      checkb "add' of an equal value is physically equal"
+        (List.exists (fun (r, w) -> Prefix.equal r q && w = v) !model)
+        (t' == !trie);
+      checkb "add' binding visible" true (Ptrie.V4.find q t' = Some v);
       trie := t';
-      model := (q, step) :: model_drop q
+      model := (q, v) :: model_drop q
     end
     else begin
       let t' = Ptrie.V4.remove q !trie in
@@ -463,13 +471,18 @@ let test_ptrie_differential_v6 () =
   let model_drop q =
     List.filter (fun (r, _) -> not (Prefix_v6.equal r q)) !model
   in
-  for step = 1 to 2_000 do
+  for _ = 1 to 2_000 do
     let q = pool.(Random.State.int rng (Array.length pool)) in
     if Random.State.bool rng then begin
-      let t', was_bound = Ptrie.V6.add' q step !trie in
+      let v = Random.State.int rng 3 in
+      let t', was_bound = Ptrie.V6.add' ~equal:Int.equal q v !trie in
       checkb "add' was-bound flag" (model_mem q) was_bound;
+      checkb "add' of an equal value is physically equal"
+        (List.exists (fun (r, w) -> Prefix_v6.equal r q && w = v) !model)
+        (t' == !trie);
+      checkb "add' binding visible" true (Ptrie.V6.find q t' = Some v);
       trie := t';
-      model := (q, step) :: model_drop q
+      model := (q, v) :: model_drop q
     end
     else begin
       let t' = Ptrie.V6.remove q !trie in

@@ -116,12 +116,15 @@ let make_router ?data ?(domains = 1) () =
   Sim.Engine.run_until engine 5.;
   { router; n1; delivered }
 
-let announce fx prefix =
+(* [path] extends the AS path past the neighbor's own AS: a
+   re-announcement with another [path] changes the route's attributes
+   but not where its traffic goes. *)
+let announce ?(path = []) fx prefix =
   Router.process_neighbor_update fx.router ~neighbor_id:fx.n1
     (Msg.update
        ~attrs:
          (Attr.origin_attrs
-            ~as_path:(Aspath.of_asns [ asn 100 ])
+            ~as_path:(Aspath.of_asns (List.map asn (100 :: path)))
             ~next_hop:(ip "100.64.0.1") ())
        ~announced:[ Msg.nlri prefix ]
        ())
@@ -206,11 +209,59 @@ let test_stale_refresh () =
     (List.length !(fx.delivered) > delivered_before);
   Router.shutdown_domains fx.router
 
+let shard_pool fx =
+  match fx.router.Router_state.pool with
+  | Some pool -> pool
+  | None -> Alcotest.fail "sharded router has no worker pool"
+
+(* Attribute-only churn changes no FIB binding, so it must not move the
+   snapshot fingerprint: no republication, no worker-cache flush, and
+   the sharded output still equals the sequential one. *)
+let test_attribute_churn_keeps_snapshot () =
+  let par = make_router ~domains:4 () in
+  let seq = make_router ~domains:1 () in
+  let frames fx = Array.init 64 (fun i -> frame_of fx (i land 7, 2, 4)) in
+  let both f =
+    f par;
+    f seq
+  in
+  both (fun fx ->
+      announce fx prefixes.(0);
+      announce fx prefixes.(1);
+      Router.forward_frames fx.router (frames fx));
+  let pool = shard_pool par in
+  let fp = par.router.Router_state.shard_fp in
+  let gen = Shard.generation pool in
+  for round = 1 to 3 do
+    both (fun fx ->
+        announce ~path:[ 200 + round ] fx prefixes.(0);
+        announce ~path:[ 300; 300 + round ] fx prefixes.(1);
+        Router.forward_frames fx.router (frames fx))
+  done;
+  checkb "fingerprint unchanged by attribute-only churn" true
+    (par.router.Router_state.shard_fp = fp);
+  checki "no snapshot republished" gen (Shard.generation pool);
+  (* A genuine FIB change still republishes. *)
+  both (fun fx ->
+      withdraw fx prefixes.(1);
+      Router.forward_frames fx.router (frames fx));
+  checkb "withdraw moves the fingerprint" true
+    (par.router.Router_state.shard_fp <> fp);
+  checkb "withdraw republishes" true (Shard.generation pool > gen);
+  let multiset l = List.sort compare l in
+  checkb "sharded deliveries equal sequential" true
+    (multiset !(par.delivered) = multiset !(seq.delivered));
+  checki "sharded forwards equal sequential"
+    (Router.counters seq.router).Router.packets_to_neighbors
+    (Router.counters par.router).Router.packets_to_neighbors;
+  Router.shutdown_domains par.router
+
 (* -- differential: sharded == sequential ------------------------------------------- *)
 
 type op =
   | Fwd of (int * int * int) list  (* batch of (flow, ttl, payload) specs *)
   | Announce of int
+  | Reannounce_path of int * int  (* prefix index, AS-path variant *)
   | Withdraw of int
   | Add_noop_filter
 
@@ -240,6 +291,8 @@ let apply_op fx = function
       Router.forward_frames fx.router
         (Array.of_list (List.map (frame_of fx) specs))
   | Announce i -> announce fx prefixes.(i mod Array.length prefixes)
+  | Reannounce_path (i, v) ->
+      announce ~path:[ 200 + v ] fx prefixes.(i mod Array.length prefixes)
   | Withdraw i -> withdraw fx prefixes.(i mod Array.length prefixes)
   | Add_noop_filter ->
       Data_enforcer.add_filter
@@ -257,14 +310,12 @@ let gen_op =
             (list_size (int_range 1 24)
                (triple (int_bound 7) (int_bound 2) (int_bound 31))) );
         (1, map (fun i -> Announce i) (int_bound 3));
+        ( 1,
+          map2 (fun i v -> Reannounce_path (i, v)) (int_bound 3) (int_bound 3)
+        );
         (1, map (fun i -> Withdraw i) (int_bound 3));
         (1, return Add_noop_filter);
       ])
-
-let shard_pool fx =
-  match fx.router.Router_state.pool with
-  | Some pool -> pool
-  | None -> Alcotest.fail "sharded router has no worker pool"
 
 let prop_sharded_equals_sequential =
   QCheck.Test.make ~name:"sharding is invisible except for parallelism"
@@ -324,6 +375,8 @@ let () =
             test_counter_aggregation;
           Alcotest.test_case "stale snapshot refresh on withdraw" `Quick
             test_stale_refresh;
+          Alcotest.test_case "attribute-only churn keeps the snapshot" `Quick
+            test_attribute_churn_keeps_snapshot;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_sharded_equals_sequential ] );

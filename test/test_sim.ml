@@ -332,6 +332,32 @@ let test_trace_eviction () =
   checkb "newest kept" true
     (List.exists (fun e -> e.Trace.message = "25") entries)
 
+(* Eviction is counted, not silent: every entry recorded is either still
+   held or counted as dropped. *)
+let test_trace_dropped () =
+  let t = Trace.create ~capacity:10 () in
+  for i = 1 to 10 do
+    Trace.record t ~time:(float_of_int i) ~category:"x" "%d" i
+  done;
+  checki "at capacity, nothing dropped" 0 (Trace.dropped t);
+  Trace.record t ~time:11. ~category:"x" "11";
+  checki "first eviction drops the oldest" 6 (Trace.dropped t);
+  checki "the newest half kept" 5 (List.length (Trace.entries t));
+  checkb "oldest kept is 7" true
+    ((List.hd (Trace.entries t)).Trace.message = "7");
+  for i = 12 to 40 do
+    Trace.record t ~time:(float_of_int i) ~category:"x" "%d" i
+  done;
+  checki "recorded = held + dropped" 40
+    (List.length (Trace.entries t) + Trace.dropped t);
+  Trace.set_enabled t false;
+  Trace.record t ~time:41. ~category:"x" "ignored";
+  checki "disabled records drop nothing" 40
+    (List.length (Trace.entries t) + Trace.dropped t);
+  let held = List.length (Trace.entries t) in
+  Trace.clear t;
+  checki "clear keeps the drop count" (40 - held) (Trace.dropped t)
+
 (* -- tcp ----------------------------------------------------------------------- *)
 
 let test_tcp_clean_transfer () =
@@ -441,6 +467,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_trace;
           Alcotest.test_case "eviction" `Quick test_trace_eviction;
+          Alcotest.test_case "dropped entries counted" `Quick test_trace_dropped;
         ] );
       ( "tcp",
         [
