@@ -32,13 +32,16 @@ type outcome =
   | Accepted of Msg.update  (** possibly transformed (attributes stripped) *)
   | Rejected of string list
 
+(* The rate limiter's key: the budget is per experiment, prefix and PoP. *)
+type limit_key = string * Prefix.t * string
+
 type t = {
   platform_asns : Asn.t list;
       (** PEERING's own ASNs; legitimate in any experiment path *)
   control_community_asn : int;
       (** communities in this 16-bit namespace steer per-neighbor export and
           are always permitted (and consumed by the router, never leaked) *)
-  limiter : Rate_limiter.t;
+  limiter : limit_key Rate_limiter.t;
   trace : Sim.Trace.t option;
   mutable fail_closed : bool;
   mutable accepted : int;
@@ -220,9 +223,7 @@ let check t ~now ~pop (g : grant) (update : Msg.update) : outcome =
       else
         List.fold_left
           (fun errors (n : Msg.nlri) ->
-            let key =
-              Fmt.str "%s/%a@%s" g.name Prefix.pp n.prefix pop
-            in
+            let key = (g.name, n.prefix, pop) in
             let budget = g.caps.Experiment_caps.daily_update_budget in
             if Rate_limiter.allow ~limit:budget t.limiter ~now key then errors
             else

@@ -37,10 +37,15 @@ type outcome =
 
 type t
 
+type limit_key = string * Prefix.t * string
+(** A rate-limiter key: (experiment name, prefix, PoP). Enforcers at
+    different PoPs may share one limiter and still keep a budget per
+    (prefix, PoP). *)
+
 val create :
   ?platform_asns:Asn.t list ->
   ?control_community_asn:int ->
-  ?limiter:Rate_limiter.t ->
+  ?limiter:limit_key Rate_limiter.t ->
   ?trace:Sim.Trace.t ->
   unit ->
   t

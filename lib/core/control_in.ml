@@ -404,7 +404,7 @@ let resync_neighbor t (ns : neighbor_state) =
              one packed multi-NLRI UPDATE per shared attribute set. *)
           let groups = Hashtbl.create 8 in
           let order = ref [] in
-          Hashtbl.fold (fun p h acc -> (p, h) :: acc) tbl []
+          Netcore.Prefix.Tbl.fold (fun p h acc -> (p, h) :: acc) tbl []
           |> List.sort (fun (a, _) (b, _) -> Netcore.Prefix.compare a b)
           |> List.iter (fun (p, h) ->
                  let fid = Attr_arena.id h in

@@ -93,21 +93,32 @@ let neighbor_facing_attrs t attrs =
   |> Attr.with_next_hop t.primary_ip
   |> Attr.remove_code 5 (* LOCAL_PREF is iBGP-only *)
 
-(* The variants a neighbor with [export_id] is allowed to hear:
-   export-control tags plus the well-known NO_EXPORT (RFC 1997), which
-   keeps a route inside the platform. Pure (handles are immutable and
-   [ctl_asn] is pre-resolved), so the export lane may run it from any
-   worker domain. *)
-let allowed_variants ~ctl_asn ~export_id variants =
-  List.filter
+(* The variants of one prefix that may leave the platform, in order,
+   each paired with its export filter. A filter is compiled once per
+   variant per flush ([filters] memoizes it by arena id), so deciding
+   for each neighbor costs an id scan, not a community-list walk. The
+   well-known NO_EXPORT (RFC 1997) keeps a variant inside the platform,
+   so it is dropped here for every neighbor at once; a neighbor hears
+   the first remaining variant whose filter permits its export id. *)
+let exportable ~ctl_asn filters variants =
+  List.filter_map
     (fun h ->
-      let communities = Attr.communities (Attr_arena.set h) in
-      (not (List.exists (Community.equal Community.no_export) communities))
-      && Export_control.allows ~ctl_asn ~export_id communities)
+      let id = Attr_arena.id h in
+      let f =
+        match Hashtbl.find_opt filters id with
+        | Some f -> f
+        | None ->
+            let communities = Attr.communities (Attr_arena.set h) in
+            let f =
+              if List.exists (Community.equal Community.no_export) communities
+              then None
+              else Some (Export_control.compile ~ctl_asn communities)
+            in
+            Hashtbl.replace filters id f;
+            f
+      in
+      Option.map (fun f -> (h, f)) f)
     variants
-
-let allowed_for_neighbor t (ns : neighbor_state) variants =
-  allowed_variants ~ctl_asn:(control_asn t) ~export_id:ns.export_id variants
 
 (* -- the v4 export flush through the lane pool ------------------------------- *)
 
@@ -117,8 +128,8 @@ let allowed_for_neighbor t (ns : neighbor_state) variants =
    One flush computes each facing set once per lane (deduplicated across
    lanes for the [reexport_computations] counter) and encodes its wire
    attribute block once, splicing it into every packed message; what
-   stays per-neighbor is only the export-control filter, the Adj-RIB-Out
-   delta, and the message framing.
+   stays per-neighbor is only the compiled export-control filter's
+   verdict, the Adj-RIB-Out delta, and the message framing.
 
    The whole flush — sequential (the default, one inline lane) or
    parallel ([?parallel_export:n]) — runs through [Export_pool]: the
@@ -131,8 +142,12 @@ let allowed_for_neighbor t (ns : neighbor_state) variants =
 
 let flush_v4 t prefixes =
   let ctl_asn = control_asn t in
+  let filters = Hashtbl.create 16 in
   let snapshot =
-    Array.of_list (List.map (fun p -> (p, variants_for_prefix t p)) prefixes)
+    Array.of_list
+      (List.map
+         (fun p -> (p, exportable ~ctl_asn filters (variants_for_prefix t p)))
+         prefixes)
   in
   let targets =
     List.filter_map
@@ -153,15 +168,21 @@ let flush_v4 t prefixes =
               })
       (real_neighbors t)
   in
+  (* The per-delta hook only when tracing: a disabled trace formats
+     nothing, but the call through [ikfprintf] still costs per pair. *)
+  let log =
+    if Trace.enabled t.trace then
+      Some
+        (fun ~announce nid prefix ->
+          if announce then
+            log t "announce %a to neighbor %d" Prefix.pp prefix nid
+          else log t "withdraw %a from neighbor %d" Prefix.pp prefix nid)
+    else None
+  in
   Export_pool.flush t.export_pool ~prefixes:snapshot ~targets
-    ~allowed:(fun ~export_id variants ->
-      allowed_variants ~ctl_asn ~export_id variants)
     ~facing:(fun v ->
       Attr_arena.intern (neighbor_facing_attrs t (Attr_arena.set v)))
-    ~log:(fun ~announce nid prefix ->
-      if announce then log t "announce %a to neighbor %d" Prefix.pp prefix nid
-      else log t "withdraw %a from neighbor %d" Prefix.pp prefix nid)
-    ();
+    ?log ();
   Export_pool.consume t.export_pool
     ~send:(fun ~nid ~update ~bytes ->
       (* Messages and NLRI are accounted per wire message, exactly as
@@ -219,6 +240,8 @@ let chunked l n =
   go [] l
 
 let flush_v6 t prefixes =
+  let ctl_asn = control_asn t in
+  let filters = Hashtbl.create 8 in
   let facing_cache = Hashtbl.create 8 in
   let by_neighbor = Hashtbl.create 8 in
   let pending_for (ns : neighbor_state) =
@@ -235,14 +258,16 @@ let flush_v6 t prefixes =
   let neighbors = real_neighbors t in
   List.iter
     (fun prefix ->
-      let variants = variants_for_prefix_v6 t prefix in
+      let variants =
+        exportable ~ctl_asn filters (variants_for_prefix_v6 t prefix)
+      in
       List.iter
         (fun (ns : neighbor_state) ->
-          match allowed_for_neighbor t ns variants with
-          | [] ->
+          match Export_control.first_permitted ns.export_id variants with
+          | None ->
               let p = pending_for ns in
               p.p6_unreach <- (prefix, None) :: p.p6_unreach
-          | v :: _ -> (
+          | Some v -> (
               let vid = Attr_arena.id v in
               let facing =
                 match Hashtbl.find_opt facing_cache vid with
@@ -344,17 +369,20 @@ let request_reexport_v6 t prefix =
 
 (* -- experiment announcements ---------------------------------------------- *)
 
+(* Without mesh peers there is no one to build the UPDATE for. *)
 let export_exp_route_to_mesh t (e : experiment_state) prefix (v : variant) =
-  let ctl_asn = control_asn t in
-  let attrs =
-    Attr_arena.set v.v_attrs
-    |> Attr.with_next_hop e.g_ip
-    |> Attr.add_community (Export_control.experiment_marker ~ctl_asn)
-  in
-  send_update_to_mesh t
-    (Msg.update ~attrs
-       ~announced:[ Msg.nlri ~path_id:(mesh_path_id e v.v_path_id) prefix ]
-       ())
+  if t.mesh <> [] then begin
+    let ctl_asn = control_asn t in
+    let attrs =
+      Attr_arena.set v.v_attrs
+      |> Attr.with_next_hop e.g_ip
+      |> Attr.add_community (Export_control.experiment_marker ~ctl_asn)
+    in
+    send_update_to_mesh t
+      (Msg.update ~attrs
+         ~announced:[ Msg.nlri ~path_id:(mesh_path_id e v.v_path_id) prefix ]
+         ())
+  end
 
 let export_exp_withdraw_to_mesh t (e : experiment_state) prefix v_path_id =
   send_update_to_mesh t

@@ -38,33 +38,39 @@ let experiment_marker ~ctl_asn = Community.make ctl_asn marker_experiment
 let is_marker ~ctl_asn c =
   Community.asn c = ctl_asn && Community.value c = marker_experiment
 
-let whitelisted ~ctl_asn communities =
-  List.filter_map
-    (fun c ->
-      if Community.asn c = ctl_asn then
-        let v = Community.value c in
-        if v >= whitelist_base && v < whitelist_base + max_export_id + 1 then
-          Some (v - whitelist_base)
-        else None
-      else None)
-    communities
+(* A variant's tags decoded once into the export ids they name, so that
+   deciding for each of a hundred neighbors is an array scan rather than
+   a walk over the community list. *)
+type filter = { white : int array; black : int array }
 
-let blacklisted ~ctl_asn communities =
-  List.filter_map
+let compile ~ctl_asn communities =
+  let white = ref [] and black = ref [] in
+  List.iter
     (fun c ->
-      if Community.asn c = ctl_asn then
+      if Community.asn c = ctl_asn then begin
         let v = Community.value c in
-        if v >= blacklist_base && v < blacklist_base + max_export_id + 1 then
-          Some (v - blacklist_base)
-        else None
-      else None)
-    communities
+        if v >= whitelist_base && v <= whitelist_base + max_export_id then
+          white := (v - whitelist_base) :: !white
+        else if v >= blacklist_base && v <= blacklist_base + max_export_id
+        then black := (v - blacklist_base) :: !black
+      end)
+    communities;
+  { white = Array.of_list !white; black = Array.of_list !black }
 
-(* Should an announcement carrying [communities] go to neighbor
-   [export_id]? No communities means "announce everywhere" (paper
-   §3.2.1). *)
+let mem id a =
+  let rec go i = i < Array.length a && (a.(i) = id || go (i + 1)) in
+  go 0
+
+(* Should an announcement carrying [f]'s tags go to neighbor [export_id]?
+   No tags means "announce everywhere" (paper §3.2.1). *)
+let permits f export_id =
+  (not (mem export_id f.black))
+  && (Array.length f.white = 0 || mem export_id f.white)
+
 let allows ~ctl_asn ~export_id communities =
-  let white = whitelisted ~ctl_asn communities in
-  let black = blacklisted ~ctl_asn communities in
-  (not (List.mem export_id black))
-  && (white = [] || List.mem export_id white)
+  permits (compile ~ctl_asn communities) export_id
+
+let rec first_permitted export_id = function
+  | [] -> None
+  | (v, f) :: rest ->
+      if permits f export_id then Some v else first_permitted export_id rest

@@ -24,9 +24,20 @@ val experiment_marker : ctl_asn:int -> Community.t
 
 val is_marker : ctl_asn:int -> Community.t -> bool
 
-val whitelisted : ctl_asn:int -> Community.t list -> int list
-val blacklisted : ctl_asn:int -> Community.t list -> int list
+type filter
+(** A tag set decoded once: the export ids it whitelists and blacklists. *)
+
+val compile : ctl_asn:int -> Community.t list -> filter
+(** Decode the export-control tags among [communities]; every other
+    community (foreign ASN, marker, NO_EXPORT) is ignored. *)
+
+val permits : filter -> int -> bool
+(** [permits f export_id]: no tags = announce everywhere; a whitelist
+    restricts to its members; a blacklist always excludes (and beats the
+    whitelist). *)
 
 val allows : ctl_asn:int -> export_id:int -> Community.t list -> bool
-(** No tags = announce everywhere; a whitelist restricts to its members; a
-    blacklist always excludes (and beats the whitelist). *)
+(** [permits (compile ~ctl_asn communities) export_id]. *)
+
+val first_permitted : int -> ('a * filter) list -> 'a option
+(** The first variant whose filter permits the export id, in list order. *)

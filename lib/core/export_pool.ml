@@ -7,15 +7,18 @@
    Design in one paragraph: a flush hash-partitions the neighbor targets
    across per-domain queues by neighbor id, so each neighbor's
    Adj-RIB-Out is mutated by exactly one domain. The coordinator
-   computes the dirty-prefix snapshot — the sorted (prefix, variants)
-   array — once from live router state and publishes it (with the
-   filter/facing closures) to all lanes before waking them; workers then
-   run the same per-(prefix, neighbor) delta loop as the sequential
-   flush, bucket announcements into update-groups keyed by the interned
-   facing set, and encode the outgoing messages themselves: the
-   path-attribute block of each facing group is encoded once per lane
-   per flush ([Codec.encode_attrs_block]) and spliced into every packed
-   message ([Codec.encode_update_spliced]) — the encode-once wire cache.
+   computes the dirty-prefix snapshot — the sorted array of each prefix
+   with its exportable variants, every variant paired with its export
+   filter compiled once per flush ([Export_control.compile]) — from live
+   router state and publishes it (with the facing closure) to all lanes
+   before waking them; workers then run the same per-(prefix, neighbor)
+   delta loop as the sequential flush — the first variant whose filter
+   permits the neighbor, then the Adj-RIB-Out delta — bucket
+   announcements into update-groups keyed by the interned facing set,
+   and encode the outgoing messages themselves: the path-attribute
+   block of each facing group is encoded once per lane per flush
+   ([Codec.encode_attrs_block]) and spliced into every packed message
+   ([Codec.encode_update_spliced]) — the encode-once wire cache.
    Fully encoded messages are staged; after the done-handshake (the same
    Mutex/Condition parking protocol as [Shard]/[Ingest_pool], whose lock
    transitions publish all worker writes) the coordinator replays the
@@ -61,7 +64,7 @@ let domain_of_neighbor ~workers nid =
 type target = {
   xt_id : int;
   xt_export_id : int;
-  xt_out : (Prefix.t, Attr_arena.handle) Hashtbl.t;
+  xt_out : Attr_arena.handle Prefix.Tbl.t;
   xt_params : Codec.params option;
       (** [Some] iff the session is established: the negotiated encoding
           parameters; [None] suppresses packing (the Adj-RIB-Out delta
@@ -112,11 +115,10 @@ type t = {
   w_state : wstate array;  (** one slot per worker, [workers - 1] long *)
   mutable handles : unit Domain.t array;  (** [ [||] ] = not spawned *)
   (* Inputs of the flush in progress, published before the workers wake.
-     The closures run on worker domains: [cur_allowed] must be pure and
-     [cur_facing] may only touch domain-safe state (the striped arena). *)
-  mutable cur_prefixes : (Prefix.t * Attr_arena.handle list) array;
-  mutable cur_allowed :
-    export_id:int -> Attr_arena.handle list -> Attr_arena.handle list;
+     [cur_facing] runs on worker domains, so it may only touch
+     domain-safe state (the striped arena). *)
+  mutable cur_prefixes :
+    (Prefix.t * (Attr_arena.handle * Export_control.filter) list) array;
   mutable cur_facing : Attr_arena.handle -> Attr_arena.handle;
   mutable cur_log : (announce:bool -> int -> Prefix.t -> unit) option;
       (** per-delta trace hook; only retained on the coordinator-inline
@@ -128,7 +130,12 @@ type t = {
 }
 
 let dummy_target =
-  { xt_id = -1; xt_export_id = -1; xt_out = Hashtbl.create 1; xt_params = None }
+  {
+    xt_id = -1;
+    xt_export_id = -1;
+    xt_out = Prefix.Tbl.create 1;
+    xt_params = None;
+  }
 
 let make_dom () =
   {
@@ -154,7 +161,6 @@ let create ~workers () =
     w_state = Array.make (workers - 1) W_idle;
     handles = [||];
     cur_prefixes = [||];
-    cur_allowed = (fun ~export_id:_ variants -> variants);
     cur_facing = (fun v -> v);
     cur_log = None;
     hits = 0;
@@ -224,17 +230,18 @@ let process t d tg =
   let order = ref [] in
   Array.iter
     (fun (prefix, variants) ->
-      let allowed = t.cur_allowed ~export_id:tg.xt_export_id variants in
-      let previously = Hashtbl.find_opt tg.xt_out prefix in
-      match (allowed, previously) with
-      | [], None -> ()
-      | [], Some _ ->
-          Hashtbl.remove tg.xt_out prefix;
+      let previously = Prefix.Tbl.find_opt tg.xt_out prefix in
+      match
+        (Export_control.first_permitted tg.xt_export_id variants, previously)
+      with
+      | None, None -> ()
+      | None, Some _ ->
+          Prefix.Tbl.remove tg.xt_out prefix;
           pend_withdrawn := Msg.nlri prefix :: !pend_withdrawn;
           (match t.cur_log with
           | Some log -> log ~announce:false tg.xt_id prefix
           | None -> ())
-      | v :: _, _ ->
+      | Some v, _ ->
           let facing = facing_of t d v in
           let changed =
             match previously with
@@ -242,7 +249,7 @@ let process t d tg =
             | None -> true
           in
           if changed then begin
-            Hashtbl.replace tg.xt_out prefix facing;
+            Prefix.Tbl.replace tg.xt_out prefix facing;
             let fid = Attr_arena.id facing in
             (match Hashtbl.find_opt groups fid with
             | Some (_, nlris) -> nlris := Msg.nlri prefix :: !nlris
@@ -327,15 +334,15 @@ let worker_loop t i =
 (* -- flush ------------------------------------------------------------------- *)
 
 (* Run one export flush: dispatch [targets] across the lanes, publish
-   the snapshot and closures, and process everything to completion. The
-   caller must quiesce control mutation for the duration: workers run
-   concurrently with each other, never with the engine or session
-   callbacks. [log] is retained only on the single-lane path (tracing is
-   not domain-safe); multi-lane flushes skip per-delta trace lines — a
-   trace-only divergence the fingerprints never see. *)
-let flush t ~prefixes ~targets ~allowed ~facing ?log () =
+   the snapshot and the facing closure, and process everything to
+   completion. The caller must quiesce control mutation for the
+   duration: workers run concurrently with each other, never with the
+   engine or session callbacks. [log] is retained only on the
+   single-lane path (tracing is not domain-safe); multi-lane flushes
+   skip per-delta trace lines — a trace-only divergence the fingerprints
+   never see. *)
+let flush t ~prefixes ~targets ~facing ?log () =
   t.cur_prefixes <- prefixes;
-  t.cur_allowed <- allowed;
   t.cur_facing <- facing;
   t.cur_log <- (if t.workers = 1 then log else None);
   List.iter
@@ -365,7 +372,6 @@ let flush t ~prefixes ~targets ~allowed ~facing ?log () =
   end;
   (* Release the snapshot and closures: they capture router state. *)
   t.cur_prefixes <- [||];
-  t.cur_allowed <- (fun ~export_id:_ variants -> variants);
   t.cur_facing <- (fun v -> v);
   t.cur_log <- None
 

@@ -6,7 +6,7 @@
     Protocol: {!flush} hash-partitions the neighbor targets across the
     lanes ({!domain_of_neighbor} — deterministic, so each Adj-RIB-Out is
     single-writer by construction), publishes the coordinator-computed
-    dirty-prefix snapshot plus the filter/facing closures, wakes the
+    dirty-prefix snapshot plus the facing closure, wakes the
     persistent parked workers, and blocks until all are done (the
     done-handshake is the happens-before edge publishing every worker
     write); {!consume} replays the fully encoded staged messages on the
@@ -41,7 +41,7 @@ val domain_of_neighbor : workers:int -> int -> int
 type target = {
   xt_id : int;
   xt_export_id : int;
-  xt_out : (Prefix.t, Attr_arena.handle) Hashtbl.t;
+  xt_out : Attr_arena.handle Prefix.Tbl.t;
   xt_params : Codec.params option;
 }
 
@@ -56,18 +56,20 @@ val worker_count : t -> int
 
 val flush :
   t ->
-  prefixes:(Prefix.t * Attr_arena.handle list) array ->
+  prefixes:(Prefix.t * (Attr_arena.handle * Export_control.filter) list) array ->
   targets:target list ->
-  allowed:(export_id:int -> Attr_arena.handle list -> Attr_arena.handle list) ->
   facing:(Attr_arena.handle -> Attr_arena.handle) ->
   ?log:(announce:bool -> int -> Prefix.t -> unit) ->
   unit ->
   unit
 (** Run one export flush over the sorted dirty-prefix snapshot
-    [prefixes]. The closures run on worker domains: [allowed] must be
-    pure (it filters a prefix's variants down to what one neighbor may
-    hear) and [facing] may only touch domain-safe state (it interns the
-    neighbor-facing set through the striped arena). [log] is the
+    [prefixes]: each prefix with its exportable variants in preference
+    order, each variant paired with its compiled export filter. A
+    neighbor hears the first variant whose filter permits its export id
+    ({!Export_control.first_permitted}), or a withdrawal when none does.
+    [facing] runs on worker domains, so it may only touch domain-safe
+    state (it interns the neighbor-facing set through the striped
+    arena). [log] is the
     per-delta trace hook, retained only when [workers = 1] — tracing is
     not domain-safe, so multi-lane flushes skip trace lines (a
     trace-only divergence the fingerprints never see). The caller must

@@ -1,14 +1,16 @@
 (* Keyed fixed-window rate limiting. PEERING limits each experiment to 144
    BGP updates per day per (prefix, PoP) pair (paper §4.7); the enforcement
    engine consults one of these, and state can be synchronized across vBGP
-   instances for AS-wide limits by sharing the limiter. *)
+   instances for AS-wide limits by sharing the limiter. Keys are
+   structured values compared structurally (the enforcer keys by
+   experiment, prefix and PoP), so a check formats no string. *)
 
 type window = { mutable start : float; mutable used : int }
 
-type t = {
+type 'k t = {
   limit : int;
   period : float;  (** window length, seconds *)
-  windows : (string, window) Hashtbl.t;
+  windows : ('k, window) Hashtbl.t;
 }
 
 let create ~limit ~period =

@@ -4,20 +4,21 @@
     (prefix, PoP) pair (paper §4.7). Sharing one limiter across vBGP
     instances gives AS-wide limits, as §3.3 describes. *)
 
-type t
+type 'k t
+(** A limiter over keys of type ['k], hashed and compared structurally. *)
 
-val create : limit:int -> period:float -> t
+val create : limit:int -> period:float -> 'k t
 (** [limit] tokens per [period] seconds per key. *)
 
 val day : float
 
-val peering_default : unit -> t
+val peering_default : unit -> 'k t
 (** The platform's announcement limiter: 144/day per key. *)
 
-val allow : ?limit:int -> t -> now:float -> string -> bool
+val allow : ?limit:int -> 'k t -> now:float -> 'k -> bool
 (** Consume one token for the key; [false] means over budget. [limit]
     overrides the default for this key (per-experiment budgets). *)
 
-val remaining : ?limit:int -> t -> now:float -> string -> int
-val used : t -> now:float -> string -> int
-val reset : t -> unit
+val remaining : ?limit:int -> 'k t -> now:float -> 'k -> int
+val used : 'k t -> now:float -> 'k -> int
+val reset : 'k t -> unit

@@ -186,7 +186,7 @@ type t = {
       (** (origin PoP, path id) -> announced prefix, attributes, and the
           origin's backbone address (the owner fallback when no local
           experiment announces the prefix) *)
-  adj_out : (int, (Prefix.t, Attr_arena.handle) Hashtbl.t) Hashtbl.t;
+  adj_out : (int, Attr_arena.handle Prefix.Tbl.t) Hashtbl.t;
       (** per-neighbor last-sent attributes (interned) *)
   (* The dirty-prefix re-export queue (drained by [Control_out]): updates
      mark prefixes dirty; one flush per engine tick recomputes each dirty
@@ -356,11 +356,24 @@ let log t fmt =
 (* -- owner trie -------------------------------------------------------------- *)
 
 (* All owner-trie mutation goes through these two, which keep the
-   destination cache coherent by bumping its generation. *)
+   destination cache coherent by bumping its generation — only when the
+   trie changed: flow-cache entries stamp that generation, so re-binding
+   a prefix to the owner it already has (every attribute-changing
+   re-announcement by the owning experiment) must not retire them. *)
+
+let owner_equal a b =
+  match (a, b) with
+  | Local_exp x, Local_exp y -> String.equal x y
+  | Remote_exp x, Remote_exp y ->
+      String.equal x.pop y.pop && Ipv4.equal x.via_global y.via_global
+  | _ -> false
 
 let owner_insert t prefix owner =
-  t.owner_trie <- Ptrie.V4.add prefix owner t.owner_trie;
-  Dcache.invalidate t.owner_cache
+  let trie, _ = Ptrie.V4.add' ~equal:owner_equal prefix owner t.owner_trie in
+  if trie != t.owner_trie then begin
+    t.owner_trie <- trie;
+    Dcache.invalidate t.owner_cache
+  end
 
 let owner_remove t prefix =
   let trie = Ptrie.V4.remove prefix t.owner_trie in
@@ -451,7 +464,7 @@ let adj_out_table t neighbor_id =
   match Hashtbl.find_opt t.adj_out neighbor_id with
   | Some tbl -> tbl
   | None ->
-      let tbl = Hashtbl.create 16 in
+      let tbl = Prefix.Tbl.create 16 in
       Hashtbl.replace t.adj_out neighbor_id tbl;
       tbl
 
@@ -646,7 +659,7 @@ let adj_out_routes t ~neighbor_id =
   match Hashtbl.find_opt t.adj_out neighbor_id with
   | None -> []
   | Some tbl ->
-      Hashtbl.fold (fun p h acc -> (p, Attr_arena.set h) :: acc) tbl []
+      Prefix.Tbl.fold (fun p h acc -> (p, Attr_arena.set h) :: acc) tbl []
       |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
 
 (* Prefixes currently held stale for a neighbor (GR retention). *)

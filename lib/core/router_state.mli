@@ -164,7 +164,7 @@ type t = {
       (** (origin PoP, path id) -> announced prefix, attributes, and the
           origin's backbone address (the owner fallback when no local
           experiment announces the prefix) *)
-  adj_out : (int, (Prefix.t, Attr_arena.handle) Hashtbl.t) Hashtbl.t;
+  adj_out : (int, Attr_arena.handle Prefix.Tbl.t) Hashtbl.t;
   dirty : (Prefix.t, unit) Hashtbl.t;
   dirty_v6 : (Prefix_v6.t, unit) Hashtbl.t;
   mutable reexport_scheduled : bool;
@@ -259,7 +259,9 @@ val log : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val owner_insert : t -> Prefix.t -> owner -> unit
 (** Bind a prefix in the owner trie. All mutation must go through
     [owner_insert]/[owner_remove]: they bump the destination cache's
-    generation so [owner_lookup] never serves a stale owner. *)
+    generation whenever the trie changes, so [owner_lookup] never serves
+    a stale owner. Re-binding a prefix to an equal owner is a no-op and
+    keeps stamped flow-cache entries live. *)
 
 val owner_remove : t -> Prefix.t -> unit
 
@@ -272,7 +274,7 @@ val neighbor_states : t -> neighbor_state list
 val real_neighbors : t -> neighbor_state list
 val experiment : t -> string -> experiment_state option
 
-val adj_out_table : t -> int -> (Prefix.t, Attr_arena.handle) Hashtbl.t
+val adj_out_table : t -> int -> Attr_arena.handle Prefix.Tbl.t
 (** The per-neighbor Adj-RIB-Out table, created on first use. *)
 
 val send_update_to_neighbor : t -> neighbor_state -> Msg.update -> unit

@@ -81,3 +81,18 @@ let subnets p sub =
 let default = { network = Ipv4.any; len = 0 }
 
 let pp ppf p = Fmt.string ppf (to_string p)
+
+(* [Hashtbl.Make] indexes buckets by the hash's low bits, and a /24's
+   network address has eight zero low bits. Fibonacci hashing: multiply
+   by 2^32 / golden ratio and keep the product's upper half, which
+   spreads runs of consecutive networks evenly over the low bits. *)
+let hash p =
+  let k = Int32.to_int (Ipv4.to_int32 p.network) land 0xffff_ffff in
+  ((k lor (p.len lsl 32)) * 0x9e3779b1) lsr 32
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -54,3 +54,9 @@ val default : t
 (** [0.0.0.0/0]. *)
 
 val pp : Format.formatter -> t -> unit
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by prefix, without the polymorphic hash and
+    compare of [Hashtbl]. The hash spreads runs of consecutive prefixes
+    of one length over its low bits, which [Hashtbl.Make] uses as the
+    bucket index. *)

@@ -376,6 +376,42 @@ let test_two_phase_zero_residual () =
           (fun (r : Controller.route) -> r.Controller.table = 9)
           (Controller.Kernel.observe k1).Controller.routes))
 
+(* Each site exports its experiment's announcements to the backbone
+   mesh: one UPDATE per accepted announcement or withdrawal, and the
+   other site imports it for its own neighbors. *)
+let test_mesh_export_counted () =
+  let w = build_world ~seed:5 () in
+  let mesh_updates () =
+    List.map
+      (fun pop ->
+        (Vbgp.Router.counters (Pop.router pop)).Vbgp.Router.updates_to_mesh)
+      w.pops
+  in
+  Alcotest.(check (list int)) "after set-up" [ 37; 37 ] (mesh_updates ());
+  let before = mesh_updates () in
+  let extra = fst (Prefix.split w.prefix) in
+  Toolkit.announce w.kit ~pops:[ "pop01" ] extra;
+  run_seconds w 10.;
+  Alcotest.(check (list int))
+    "one announcement, one mesh UPDATE from pop01"
+    [ List.nth before 0 + 1; List.nth before 1 ]
+    (mesh_updates ());
+  let pop02 = List.nth w.pops 1 in
+  checkb "pop02 re-exports the import to its neighbors" true
+    (List.exists
+       (fun h ->
+         List.exists
+           (fun (p, _) -> Prefix.equal p extra)
+           (Vbgp.Router.adj_out_routes (Pop.router pop02)
+              ~neighbor_id:(Neighbor_host.neighbor_id h)))
+       (Pop.neighbors pop02));
+  Toolkit.withdraw w.kit ~pops:[ "pop01" ] extra;
+  run_seconds w 10.;
+  Alcotest.(check (list int))
+    "one withdrawal, one more mesh UPDATE"
+    [ List.nth before 0 + 2; List.nth before 1 ]
+    (mesh_updates ())
+
 let () =
   Alcotest.run "drill"
     [
@@ -387,5 +423,7 @@ let () =
             test_degradation_recovers;
           Alcotest.test_case "two-phase apply leaves zero residual" `Quick
             test_two_phase_zero_residual;
+          Alcotest.test_case "experiment routes exported to the mesh" `Quick
+            test_mesh_export_counted;
         ] );
     ]

@@ -340,6 +340,63 @@ let test_invalidate_on_owner_change () =
   checki "owner remove forces a miss" 3 c.Router.flow_misses;
   checki "every frame still delivered" 5 (List.length !(fx.delivered))
 
+(* Flow entries stamp the owner-table generation. The owning experiment
+   re-announcing its prefix with other attributes leaves the owner as it
+   was, so the flow stays a hit; the experiment's withdrawal removes the
+   owner and must force a miss. *)
+let test_owner_reannounce_keeps_flow () =
+  let fx = make_router () in
+  announce fx (pfx "192.168.0.0/24");
+  let grant =
+    Control_enforcer.grant ~asns:[ asn 61574 ]
+      ~prefixes:[ pfx "184.164.224.0/24" ]
+      "exp001"
+  in
+  ignore
+    (Router.connect_experiment fx.router ~grant ~mac:(Mac.local ~pool:2 1) ());
+  let exp_prefix = pfx "184.164.224.0/24" in
+  let exp_update ?med ~withdraw () =
+    let attrs =
+      Attr.origin_attrs
+        ~as_path:(Aspath.of_asns [ asn 61574 ])
+        ~next_hop:(ip "184.164.224.1") ()
+    in
+    let attrs =
+      match med with Some m -> Attr.with_med m attrs | None -> attrs
+    in
+    let u =
+      if withdraw then Msg.update ~withdrawn:[ Msg.nlri exp_prefix ] ()
+      else Msg.update ~attrs ~announced:[ Msg.nlri exp_prefix ] ()
+    in
+    match Router.process_experiment_update fx.router ~experiment:"exp001" u with
+    | Ok () -> ()
+    | Error reasons -> Alcotest.fail (String.concat "; " reasons)
+  in
+  exp_update ~withdraw:false ();
+  let p = packet ~dst:"192.168.0.9" () in
+  fwd fx p;
+  fwd fx p;
+  let c = Router.counters fx.router in
+  checki "warm" 1 c.Router.flow_hits;
+  for med = 1 to 3 do
+    exp_update ~med ~withdraw:false ();
+    fwd fx p
+  done;
+  checkb "the re-announcements were recorded" true
+    (match Router_state.experiment fx.router "exp001" with
+    | Some e -> (
+        match Hashtbl.find_opt e.Router_state.routes exp_prefix with
+        | Some { contents = [ v ] } ->
+            Attr.med (Bgp.Attr_arena.set v.Router_state.v_attrs) = Some 3
+        | _ -> false)
+    | None -> false);
+  checki "one miss" 1 c.Router.flow_misses;
+  checki "hits through the owner's re-announcements" 4 c.Router.flow_hits;
+  exp_update ~withdraw:true ();
+  fwd fx p;
+  checki "the owner's withdrawal forces a miss" 2 c.Router.flow_misses;
+  checki "every frame delivered" 6 (List.length !(fx.delivered))
+
 (* -- stateful tail under the cache ------------------------------------------------- *)
 
 let shaper_chain () =
@@ -615,6 +672,8 @@ let () =
             test_invalidate_on_experiment_attach;
           Alcotest.test_case "invalidated by owner churn" `Quick
             test_invalidate_on_owner_change;
+          Alcotest.test_case "kept through the owner's re-announcements"
+            `Quick test_owner_reannounce_keeps_flow;
           Alcotest.test_case "stateful shaper still runs per packet" `Quick
             test_shaper_under_cache;
           Alcotest.test_case "tail hit records equal the slow path's" `Quick

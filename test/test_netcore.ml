@@ -551,6 +551,56 @@ let prop_ipv4_roundtrip =
       let ip = Ipv4.of_int32 (Int32.of_int v) in
       Ipv4.equal ip (Ipv4.of_string_exn (Ipv4.to_string ip)))
 
+(* Model-based: [Prefix.Tbl] agrees with an association list over random
+   add/replace/remove/find sequences. Keys come from a small pool (one
+   network under several lengths among them) so every op often hits a
+   bound key. *)
+let prop_prefix_tbl_model =
+  let key (a, len) = Prefix.make (Ipv4.of_int32 (Int32.of_int (a lsl 20))) len in
+  let op =
+    QCheck.triple (QCheck.int_bound 3)
+      (QCheck.pair (QCheck.int_bound 7) (QCheck.oneofl [ 8; 12; 16; 24; 32 ]))
+      QCheck.small_nat
+  in
+  QCheck.Test.make ~name:"Prefix.Tbl matches an association-list model"
+    ~count:300 (QCheck.list op) (fun ops ->
+      let t = Prefix.Tbl.create 4 in
+      let model = ref [] in
+      let without k = List.filter (fun (k', _) -> not (Prefix.equal k k')) in
+      List.for_all
+        (fun (kind, k, v) ->
+          let k = key k in
+          (match kind with
+          | 0 -> Prefix.Tbl.replace t k v; model := (k, v) :: without k !model
+          | 1 -> Prefix.Tbl.remove t k; model := without k !model
+          | _ -> ());
+          let expect =
+            List.find_map
+              (fun (k', v') -> if Prefix.equal k k' then Some v' else None)
+              !model
+          in
+          Prefix.Tbl.find_opt t k = expect
+          && Prefix.Tbl.length t = List.length !model)
+        ops)
+
+(* Runs of consecutive /24s or /32s must not pile into a few buckets:
+   [Hashtbl.Make] indexes by the hash's low bits, and a /24's low eight
+   address bits are all zero. *)
+let test_prefix_tbl_spread () =
+  List.iter
+    (fun (base, len) ->
+      let t = Prefix.Tbl.create 16 in
+      for i = 0 to 4095 do
+        let addr = Int32.add base (Int32.shift_left (Int32.of_int i) (32 - len)) in
+        Prefix.Tbl.replace t (Prefix.make (Ipv4.of_int32 addr) len) i
+      done;
+      checki "all bound" 4096 (Prefix.Tbl.length t);
+      let longest = (Prefix.Tbl.stats t).Hashtbl.max_bucket_length in
+      if longest > 8 then
+        Alcotest.failf "/%d run from %ld: longest bucket %d > 8" len base
+          longest)
+    [ (0x0a000000l, 24); (0xc6120000l, 24); (0x0a000000l, 32); (0xc0a80000l, 32) ]
+
 (* Model-based: longest_match agrees with brute force over an assoc list. *)
 let prop_ptrie_lpm_model =
   let gen =
@@ -645,6 +695,7 @@ let qcheck_cases =
       prop_prefix_network_member;
       prop_ipv4_roundtrip;
       prop_ptrie_lpm_model;
+      prop_prefix_tbl_model;
       prop_udp_roundtrip;
       prop_ipv6_roundtrip;
       prop_mac_roundtrip;
@@ -677,6 +728,8 @@ let () =
           Alcotest.test_case "split/subnets" `Quick test_prefix_split_subnets;
           Alcotest.test_case "host" `Quick test_prefix_host;
           Alcotest.test_case "ipv6 prefixes" `Quick test_prefix_v6;
+          Alcotest.test_case "Tbl spreads consecutive prefixes" `Quick
+            test_prefix_tbl_spread;
         ] );
       ( "mac",
         [

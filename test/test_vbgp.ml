@@ -120,6 +120,72 @@ let test_export_marker () =
     (Export_control.is_marker ~ctl_asn:ctl
        (Export_control.announce_to ~ctl_asn:ctl 1))
 
+(* The list-based semantics the compiled filter replaced, kept as the
+   model: decode the whitelist and blacklist ids, then test membership. *)
+let model_allows ~ctl_asn ~export_id communities =
+  let ids base =
+    List.filter_map
+      (fun c ->
+        let v = Community.value c in
+        if
+          Community.asn c = ctl_asn
+          && v >= base
+          && v < base + Export_control.max_export_id + 1
+        then Some (v - base)
+        else None)
+      communities
+  in
+  let white = ids Export_control.whitelist_base in
+  let black = ids Export_control.blacklist_base in
+  (not (List.mem export_id black)) && (white = [] || List.mem export_id white)
+
+(* Tag lists mixing whitelist, blacklist and both-for-one-id tags with
+   foreign-ASN look-alikes, the mesh marker, NO_EXPORT and control-ASN
+   values at the edges of the tag ranges. *)
+let gen_tags =
+  let open QCheck.Gen in
+  let id = int_bound 11 in
+  let tag =
+    oneof
+      [
+        map (fun i -> [ Export_control.announce_to ~ctl_asn:ctl i ]) id;
+        map (fun i -> [ Export_control.block ~ctl_asn:ctl i ]) id;
+        map
+          (fun i ->
+            [
+              Export_control.announce_to ~ctl_asn:ctl i;
+              Export_control.block ~ctl_asn:ctl i;
+            ])
+          id;
+        map
+          (fun i -> [ Community.make 100 (Export_control.whitelist_base + i) ])
+          id;
+        map
+          (fun i -> [ Community.make 100 (Export_control.blacklist_base + i) ])
+          id;
+        return [ Export_control.experiment_marker ~ctl_asn:ctl ];
+        return [ Community.no_export ];
+        map
+          (fun v -> [ Community.make ctl v ])
+          (oneofl [ 0; 9_999; 19_999; 29_999; 30_000; 65_535 ]);
+      ]
+  in
+  map List.concat (list_size (int_bound 6) tag)
+
+let prop_compiled_filter_matches_model =
+  QCheck.Test.make ~name:"compiled export filter matches the list model"
+    ~count:500
+    (QCheck.make
+       ~print:(fun cs -> String.concat " " (List.map Community.to_string cs))
+       gen_tags)
+    (fun cs ->
+      let f = Export_control.compile ~ctl_asn:ctl cs in
+      List.for_all
+        (fun id ->
+          Export_control.permits f id
+          = model_allows ~ctl_asn:ctl ~export_id:id cs)
+        (List.init 16 Fun.id @ [ 9_999 ]))
+
 (* -- control enforcement --------------------------------------------------------------- *)
 
 let grant ?(caps = Experiment_caps.default) () =
@@ -331,6 +397,43 @@ let test_enforcer_rate_limit () =
   checkb "independent per pop" false
     (is_rejected
        (Control_enforcer.check e ~now:151. ~pop:"q" g (announce ())))
+
+(* One limiter shared by the enforcers of two PoPs (an AS-wide limit):
+   each (prefix, PoP) keeps its own 144/day budget, two enforcers at one
+   PoP draw on the same budget, and the rejection text is unchanged. *)
+let test_enforcer_shared_limiter () =
+  let limiter = Rate_limiter.peering_default () in
+  let at () =
+    Control_enforcer.create ~platform_asns:[ asn 47065 ]
+      ~control_community_asn:ctl ~limiter ()
+  in
+  let ams = at () and sea = at () and ams' = at () in
+  let g = grant () in
+  let accepted e ~pop ~from n =
+    List.length
+      (List.filter
+         (fun i ->
+           not
+             (is_rejected
+                (Control_enforcer.check e ~now:(float_of_int i) ~pop g
+                   (announce ()))))
+         (List.init n (fun i -> from + i)))
+  in
+  checki "ams budget" 144 (accepted ams ~pop:"ams" ~from:1 150);
+  checki "sea keeps its own budget" 144 (accepted sea ~pop:"sea" ~from:151 150);
+  checki "a second ams enforcer shares ams's budget" 0
+    (accepted ams' ~pop:"ams" ~from:301 5);
+  checkb "another prefix has its own budget" false
+    (is_rejected
+       (Control_enforcer.check sea ~now:400. ~pop:"sea" g
+          (announce ~prefix:(pfx "184.164.224.0/25") ())));
+  match Control_enforcer.check ams' ~now:401. ~pop:"ams" g (announce ()) with
+  | Control_enforcer.Rejected reasons ->
+      Alcotest.(check (list string))
+        "rejection text"
+        [ "update budget exhausted for 184.164.224.0/24 at ams (limit 144/day)" ]
+        reasons
+  | Control_enforcer.Accepted _ -> Alcotest.fail "over-budget update accepted"
 
 let test_enforcer_fail_closed () =
   let e = enforcer () in
@@ -946,6 +1049,76 @@ let test_router_variant_selection () =
   checkb "N1 did not" false
     (List.exists (fun (u : Msg.update) -> u.Msg.withdrawn <> []) !heard_n1)
 
+(* A neighbor hears the first variant, in [variants_for_prefix] order,
+   that may leave the platform and whose tags permit it. The first
+   variant here is NO_EXPORT (nobody may hear it) or blacklists A; the
+   second whitelists A. MEDs tell the two apart on the wire. *)
+let test_router_first_permitted_variant () =
+  let prefix = pfx "184.164.224.0/24" in
+  let run first_tag =
+    let fx = make_fixture () in
+    let heard_a = ref [] and heard_b = ref [] in
+    let listen session heard =
+      Session.set_handlers session.Sim.Bgp_wire.active
+        {
+          Session.on_route_refresh = (fun ~afi:_ ~safi:_ -> ());
+          on_update = (fun u -> heard := u :: !heard);
+          on_established = ignore;
+          on_down = ignore;
+        }
+    in
+    listen fx.n1_session heard_a;
+    listen fx.n2_session heard_b;
+    let g =
+      Control_enforcer.grant ~asns:[ asn 61574 ] ~prefixes:[ prefix ]
+        ~caps:Experiment_caps.(default |> with_communities 2)
+        "exp001"
+    in
+    ignore
+      (Router.connect_experiment fx.router ~grant:g
+         ~mac:(Mac.local ~pool:2 1) ());
+    let id_a = Router.export_id fx.router ~neighbor_id:fx.n1 in
+    let variant ~path_id ~med tag =
+      match
+        Router.process_experiment_update fx.router ~experiment:"exp001"
+          (Msg.update
+             ~attrs:
+               (Attr.origin_attrs
+                  ~as_path:(Aspath.of_asns [ asn 61574 ])
+                  ~next_hop:(ip "184.164.224.1") ()
+               |> Attr.with_med med
+               |> Attr.with_communities [ tag ])
+             ~announced:[ Msg.nlri ~path_id prefix ]
+             ())
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (String.concat "; " e)
+    in
+    (* The later announcement comes first in variant order. *)
+    variant ~path_id:2 ~med:2 (Export_control.announce_to ~ctl_asn:ctl id_a);
+    variant ~path_id:1 ~med:1 (first_tag id_a);
+    checkb "the restricted variant comes first" true
+      (match Control_out.variants_for_prefix fx.router prefix with
+      | [ v1; v2 ] ->
+          Attr.med (Attr_arena.set v1) = Some 1
+          && Attr.med (Attr_arena.set v2) = Some 2
+      | _ -> false);
+    Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 5.);
+    let meds heard =
+      List.filter_map
+        (fun (u : Msg.update) ->
+          if u.Msg.announced <> [] then Attr.med u.Msg.attrs else None)
+        !heard
+    in
+    (meds heard_a, meds heard_b)
+  in
+  let a, b = run (fun _ -> Community.no_export) in
+  checkb "NO_EXPORT first: A hears the second variant" true (a = [ 2 ]);
+  checkb "NO_EXPORT first: B hears nothing" true (b = []);
+  let a, b = run (fun id_a -> Export_control.block ~ctl_asn:ctl id_a) in
+  checkb "blacklist first: A hears the second variant" true (a = [ 2 ]);
+  checkb "blacklist first: B hears the first variant" true (b = [ 1 ])
+
 let test_router_burst_single_recompute () =
   (* A burst of updates to one prefix inside one engine tick costs exactly
      one re-export recomputation per neighbor (the dirty-prefix queue),
@@ -1111,6 +1284,7 @@ let () =
         [
           Alcotest.test_case "allow semantics" `Quick test_export_control;
           Alcotest.test_case "marker" `Quick test_export_marker;
+          QCheck_alcotest.to_alcotest prop_compiled_filter_matches_model;
         ] );
       ( "control_enforcer",
         [
@@ -1127,6 +1301,8 @@ let () =
           Alcotest.test_case "ipv6 ownership" `Quick test_enforcer_v6;
           Alcotest.test_case "6to4" `Quick test_enforcer_6to4;
           Alcotest.test_case "rate limit" `Quick test_enforcer_rate_limit;
+          Alcotest.test_case "shared limiter across pops" `Quick
+            test_enforcer_shared_limiter;
           Alcotest.test_case "fail closed" `Quick test_enforcer_fail_closed;
         ] );
       ( "data_enforcer",
@@ -1166,6 +1342,8 @@ let () =
             test_router_blacklist_export;
           Alcotest.test_case "per-neighbor variants" `Quick
             test_router_variant_selection;
+          Alcotest.test_case "first permitted variant" `Quick
+            test_router_first_permitted_variant;
           Alcotest.test_case "burst recomputes once" `Quick
             test_router_burst_single_recompute;
           Alcotest.test_case "ipv6 re-export" `Quick test_router_v6_reexport;
