@@ -45,21 +45,29 @@ bench-diff: bench-smoke
 chaos:
 	dune exec test/test_chaos.exe
 
-# Multicore data-plane suite: arena stress across domains plus the
+# The lane suites. Each runs a `Router.create ~lanes:4` router against a
+# `~lanes:1` one; all three lanes sit on the `Lanes` pool (lib/core/lanes.ml).
+#
+# Lanes pool and multicore data plane: the pool's own contract (inline
+# single lane, idempotent shutdown and respawn, queue high-water marks),
+# arena stress across domains, the sharded hit records, and the
 # sharded-vs-sequential differential (also part of `dune runtest`).
 par:
+	dune exec test/test_lanes.exe
 	dune exec test/test_shard.exe
 
-# Parallel ingest lane: the 4-lane-vs-sequential fingerprint differential
-# (incl. graceful restart and mid-churn session kills) plus partition and
-# validation checks (also part of `dune runtest`).
+# Ingest lane: the 4-lane-vs-sequential fingerprint differential (incl.
+# graceful restart and mid-churn session kills), decode-error counting at
+# either lane count, the neighbor hash and lane-count validation (also
+# part of `dune runtest`).
 par-ingest:
 	dune exec test/test_par_ingest.exe
 
-# Parallel export lane: the 4-lane-vs-sequential differential on Adj-RIB-Out
+# Export lane: the 4-lane-vs-sequential differential on Adj-RIB-Out
 # fingerprints, exact counters and per-neighbor wire-byte transcripts (incl.
 # graceful restart and mid-churn kills), the encode-once wire-cache
-# accounting, and the chunked regression (also part of `dune runtest`).
+# accounting, the flush's neighbor placement, lane-count validation and
+# the chunked regression (also part of `dune runtest`).
 export-par:
 	dune exec test/test_export_par.exe
 

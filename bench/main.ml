@@ -239,7 +239,7 @@ let time_per_update name f stream =
 (* A vBGP router fixture with [experiments] connected experiment sessions
    and optionally a backbone mesh peer. Session sends are synchronous, so
    the pipeline can be driven and timed without running the event engine. *)
-let make_bench_router ?caps ?data ?(flow_cache = true) ?(domains = 1)
+let make_bench_router ?caps ?data ?(flow_cache = true) ?(lanes = 1)
     ~experiments ~mesh () =
   let engine = Sim.Engine.create () in
   let global_pool =
@@ -249,7 +249,7 @@ let make_bench_router ?caps ?data ?(flow_cache = true) ?(domains = 1)
     Vbgp.Router.create ~engine ~name:"bench" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
       ~local_pool:(pfx "127.65.0.0/16") ~global_pool ?data ~flow_cache
-      ~domains ()
+      ~lanes ()
   in
   Vbgp.Router.activate router;
   let neighbor_id, npair =
@@ -811,9 +811,9 @@ let ratelimit () =
 (* A router with a 10k-route neighbor table for data-plane forwarding
    benchmarks, and a frame generator aimed at it ([flow] selects one of
    64 destination addresses, all covered by the table). *)
-let make_fwd_router ?data ?flow_cache ?domains () =
+let make_fwd_router ?data ?flow_cache ?lanes () =
   let router, neighbor_id =
-    make_bench_router ?data ?flow_cache ?domains ~experiments:0 ~mesh:false ()
+    make_bench_router ?data ?flow_cache ?lanes ~experiments:0 ~mesh:false ()
   in
   for i = 0 to 9_999 do
     Vbgp.Router.process_neighbor_update router ~neighbor_id
@@ -1507,8 +1507,8 @@ let fwd_par () =
   let n = if !smoke then 24_576 else 196_608 in
   let batch = 512 in
   let counts = if !smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let run domains =
-    let router, neighbor_id = make_fwd_router ~domains () in
+  let run lanes =
+    let router, neighbor_id = make_fwd_router ~lanes () in
     let frames =
       Array.init batch (fun i ->
           fwd_par_frame router neighbor_id ~flow:(i land 255))
@@ -1528,10 +1528,10 @@ let fwd_par () =
     let pps = List.fold_left (fun best _ -> Float.max best (pass ())) 0. [ 1; 2; 3 ] in
     Vbgp.Router.shutdown_domains router;
     Fmt.pr "  %-32s %12.0f pps@."
-      (Printf.sprintf "%d domain%s" domains (if domains = 1 then "" else "s"))
+      (Printf.sprintf "%d lane%s" lanes (if lanes = 1 then "" else "s"))
       pps;
     record ~experiment:"fwd-par"
-      ~metric:(Printf.sprintf "pps_%ddom" domains)
+      ~metric:(Printf.sprintf "pps_%ddom" lanes)
       ~unit_:"pps" pps;
     (* Per-lane ingress queue high-water marks: when the gated speedup
        floor fails, these show from the JSON alone whether the flow hash
@@ -1540,7 +1540,7 @@ let fwd_par () =
     Array.iteri
       (fun lane depth ->
         record ~experiment:"fwd-par"
-          ~metric:(Printf.sprintf "qdepth_max_%ddom_lane%d" domains lane)
+          ~metric:(Printf.sprintf "qdepth_max_%ddom_lane%d" lanes lane)
           ~unit_:"frames" (float_of_int depth))
       (Vbgp.Router.shard_queue_depth_max router);
     (router, pps)
@@ -1616,7 +1616,7 @@ let ingest_par () =
         done;
         Array.of_list !items)
   in
-  let make_router parallel_ingest =
+  let make_router lanes =
     let engine = Sim.Engine.create () in
     let global_pool =
       Vbgp.Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -1624,7 +1624,7 @@ let ingest_par () =
     let router =
       Vbgp.Router.create ~engine ~name:"ingest" ~asn:(asn 47065)
         ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-        ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~parallel_ingest ()
+        ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes ()
     in
     Vbgp.Router.activate router;
     let ids =
@@ -1656,8 +1656,8 @@ let ingest_par () =
     done;
     Vbgp.Router.flush_reexports router
   in
-  let run parallel_ingest =
-    let router, ids = make_router parallel_ingest in
+  let run lanes =
+    let router, ids = make_router lanes in
     (* Warm-up pass outside the timed window: spawns the worker domains,
        loads the table and fills the per-lane intern front caches. *)
     feed_pass router ids passes.(0);
@@ -1678,21 +1678,21 @@ let ingest_par () =
     if Vbgp.Router.route_count router <> routes then
       failwith
         (Printf.sprintf "ingest-par: %d-lane run holds %d routes, expected %d"
-           parallel_ingest
+           lanes
            (Vbgp.Router.route_count router)
            routes);
     let st = Vbgp.Router.ingest_stats router in
     if st.Vbgp.Router.decode_errors <> 0 then
       failwith
         (Printf.sprintf "ingest-par: %d-lane run hit %d decode errors"
-           parallel_ingest st.Vbgp.Router.decode_errors);
+           lanes st.Vbgp.Router.decode_errors);
     Vbgp.Router.shutdown_domains router;
     Fmt.pr "  %-32s %12.0f updates/s@."
-      (Printf.sprintf "%d lane%s" parallel_ingest
-         (if parallel_ingest = 1 then "" else "s"))
+      (Printf.sprintf "%d lane%s" lanes
+         (if lanes = 1 then "" else "s"))
       ups;
     record ~experiment:"ingest-par"
-      ~metric:(Printf.sprintf "upd_per_sec_%ddom" parallel_ingest)
+      ~metric:(Printf.sprintf "upd_per_sec_%ddom" lanes)
       ~unit_:"upd/s" ups;
     (* Per-lane staging/ingress high-water marks: when the gated speedup
        floor fails, these show from the JSON alone whether the neighbor
@@ -1701,7 +1701,7 @@ let ingest_par () =
       (fun lane depth ->
         record ~experiment:"ingest-par"
           ~metric:
-            (Printf.sprintf "qdepth_max_%ddom_lane%d" parallel_ingest lane)
+            (Printf.sprintf "qdepth_max_%ddom_lane%d" lanes lane)
           ~unit_:"items" (float_of_int depth))
       st.Vbgp.Router.queue_depth_max;
     (ups, st)
@@ -1748,7 +1748,7 @@ let export_par () =
       (Ipv4.of_int32 (Int32.logor 0xB8A00000l (Int32.of_int (i lsl 8))))
       24
   in
-  let make_router parallel_export =
+  let make_router lanes =
     let engine = Sim.Engine.create () in
     let global_pool =
       Vbgp.Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -1756,7 +1756,7 @@ let export_par () =
     let router =
       Vbgp.Router.create ~engine ~name:"export" ~asn:(asn 47065)
         ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-        ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~parallel_export ()
+        ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes ()
     in
     (* Tracing off: the sequential lane logs one entry per (prefix,
        neighbor) delta while worker lanes never log, so leaving the trace
@@ -1813,8 +1813,8 @@ let export_par () =
              (Vbgp.Router.adj_out_routes router ~neighbor_id:id))
     |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
   in
-  let run parallel_export =
-    let engine, router, ids = make_router parallel_export in
+  let run lanes =
+    let engine, router, ids = make_router lanes in
     (* Warm-up pass outside the timed window: spawns the worker domains
        and builds the Adj-RIB-Out tables. *)
     announce_pass router 0;
@@ -1837,15 +1837,15 @@ let export_par () =
     if st.Vbgp.Router.staged_residual <> 0 then
       failwith
         (Printf.sprintf "export-par: %d-lane run left %d staged sends"
-           parallel_export st.Vbgp.Router.staged_residual);
+           lanes st.Vbgp.Router.staged_residual);
     let fp = adj_out_fingerprint router ids in
     Vbgp.Router.shutdown_domains router;
     Fmt.pr "  %-32s %12.0f prefix-flushes/s@."
-      (Printf.sprintf "%d lane%s" parallel_export
-         (if parallel_export = 1 then "" else "s"))
+      (Printf.sprintf "%d lane%s" lanes
+         (if lanes = 1 then "" else "s"))
       pps;
     record ~experiment:"export-par"
-      ~metric:(Printf.sprintf "flush_pfx_per_sec_%ddom" parallel_export)
+      ~metric:(Printf.sprintf "flush_pfx_per_sec_%ddom" lanes)
       ~unit_:"pfx/s" pps;
     (* Per-lane target-queue high-water marks: when the gated speedup
        floor fails, these show from the JSON alone whether the neighbor
@@ -1854,7 +1854,7 @@ let export_par () =
       (fun lane depth ->
         record ~experiment:"export-par"
           ~metric:
-            (Printf.sprintf "xdepth_max_%ddom_lane%d" parallel_export lane)
+            (Printf.sprintf "xdepth_max_%ddom_lane%d" lanes lane)
           ~unit_:"items" (float_of_int depth))
       st.Vbgp.Router.lane_depth_max;
     (pps, st, fp)

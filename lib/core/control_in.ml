@@ -177,6 +177,40 @@ let sync_experiment t (e : experiment_state) =
 
 (* -- neighbor route learning ----------------------------------------------- *)
 
+(* The ingest step's view of a neighbor, built from live state, so
+   session kills, GR retentions and resyncs since the previous update are
+   always seen. *)
+let ingest_target (ns : neighbor_state) =
+  {
+    Ingest_pool.tg_id = ns.info.Neighbor.id;
+    tg_peer_ip = ns.info.Neighbor.ip;
+    tg_peer_asn = ns.info.Neighbor.asn;
+    tg_rib = ns.rib_in;
+    tg_gr = Option.map (fun (h : _ gr_hold) -> h.stale) ns.gr;
+  }
+
+(* Apply one route delta of the ingest step to shared state: the FIB
+   write, then the dirty-queue mark — or, on an unbatched router, the
+   eager fan-out of the update's [attrs]. The sink of the sequential
+   path and of the lane's replay alike. *)
+let apply_delta t (ns : neighbor_state) fib ~attrs prefix = function
+  | Ingest_pool.D_withdraw best_changed ->
+      Rib.Fib.remove fib prefix;
+      if t.ingest_batching then begin
+        if best_changed then mark_ingest_dirty t ns prefix
+      end
+      else begin
+        export_withdraw_to_experiments t ns prefix;
+        export_withdraw_to_mesh t ns prefix
+      end
+  | Ingest_pool.D_install entry ->
+      Rib.Fib.insert fib prefix entry;
+      if t.ingest_batching then mark_ingest_dirty t ns prefix
+      else begin
+        export_route_to_experiments t ns prefix attrs;
+        export_route_to_mesh t ns prefix attrs
+      end
+
 (* Process one UPDATE from neighbor [id]; public so benchmarks can drive the
    pipeline without sessions.
 
@@ -190,125 +224,46 @@ let process_neighbor_update t ~neighbor_id (u : Msg.update) =
   | Some ns ->
       t.counters.updates_from_neighbors <-
         t.counters.updates_from_neighbors + 1;
-      let now = Engine.now t.engine in
-      let batched = t.ingest_batching in
-      let peer_ip = ns.info.Neighbor.ip in
-      let fib = Rib.Fib.Set.table t.fibs ns.info.Neighbor.id in
-      List.iter
-        (fun (n : Msg.nlri) ->
-          gr_unmark ns.gr n.prefix;
-          let change =
-            Rib.Table.withdraw ns.rib_in ~prefix:n.prefix ~peer_ip
-              ~path_id:None
-          in
-          Rib.Fib.remove fib n.prefix;
-          if batched then begin
-            match change with
-            | Rib.Table.Best_changed _ -> mark_ingest_dirty t ns n.prefix
-            | Rib.Table.Unchanged -> ()
-          end
-          else begin
-            export_withdraw_to_experiments t ns n.prefix;
-            export_withdraw_to_mesh t ns n.prefix
-          end)
-        u.withdrawn;
-      if u.announced <> [] then begin
-        let source =
-          Rib.Route.source ~peer_ip ~peer_asn:ns.info.Neighbor.asn ()
-        in
-        (* Per-NLRI constants hoisted out of the loop: one intern for the
-           whole list (the unchanged check becomes O(1) and installed
-           routes share the canonical set) and one FIB entry record. *)
-        let attrs_h = Attr_arena.intern u.attrs in
-        let fib_entry =
-          { Rib.Fib.next_hop = peer_ip; neighbor = ns.info.Neighbor.id }
-        in
-        List.iter
-          (fun (n : Msg.nlri) ->
-            gr_unmark ns.gr n.prefix;
-            let unchanged =
-              List.exists
-                (fun (r : Rib.Route.t) ->
-                  Rib.Route.key_matches ~peer_ip ~path_id:None r
-                  && Attr_arena.equal (Rib.Route.attrs_handle r) attrs_h)
-                (Rib.Table.candidates ns.rib_in n.prefix)
-            in
-            if not unchanged then begin
-              let route =
-                Rib.Route.make_h ~learned_at:now ~prefix:n.prefix ~attrs_h
-                  ~source ()
-              in
-              ignore (Rib.Table.update ns.rib_in route);
-              Rib.Fib.insert fib n.prefix fib_entry;
-              if batched then mark_ingest_dirty t ns n.prefix
-              else begin
-                export_route_to_experiments t ns n.prefix u.attrs;
-                export_route_to_mesh t ns n.prefix u.attrs
-              end
-            end)
-          u.announced
-      end
+      let fib = Rib.Fib.Set.table t.fibs neighbor_id in
+      Ingest_pool.ingest_update
+        ~intern:(fun attrs -> Attr_arena.intern attrs)
+        ~apply:(fun prefix delta ->
+          apply_delta t ns fib ~attrs:u.attrs prefix delta)
+        ~now:(Engine.now t.engine) (ingest_target ns) u
 
-(* -- the parallel ingest lane ------------------------------------------------ *)
-
-(* The per-drain view of a neighbor handed to the ingest workers: built
-   from live state at drain time, so session kills, GR retentions and
-   resyncs that happened since the previous batch are always seen. *)
-let ingest_target (ns : neighbor_state) =
-  {
-    Ingest_pool.tg_id = ns.info.Neighbor.id;
-    tg_peer_ip = ns.info.Neighbor.ip;
-    tg_peer_asn = ns.info.Neighbor.asn;
-    tg_rib = ns.rib_in;
-    tg_gr = Option.map (fun (h : _ gr_hold) -> h.stale) ns.gr;
-  }
-
-(* Replay one staged route delta against shared state — the FIB write and
-   the dirty-queue mark that [process_neighbor_update] performs in-band.
-   Runs on the coordinator only. *)
-let apply_staged t ~nid ~prefix delta =
-  match neighbor t nid with
-  | None -> ()
-  | Some ns -> (
-      let fib = Rib.Fib.Set.table t.fibs nid in
-      match delta with
-      | Ingest_pool.D_withdraw best_changed ->
-          Rib.Fib.remove fib prefix;
-          if best_changed then mark_ingest_dirty t ns prefix
-      | Ingest_pool.D_install entry ->
-          Rib.Fib.insert fib prefix entry;
-          mark_ingest_dirty t ns prefix)
-
-(* Ingest a batch of updates, fanned across the worker domains when the
-   router was created with [?parallel_ingest:n > 1] and processed inline
-   (in batch order) otherwise. The two paths produce bit-identical
-   RIB/FIB/heard/export state and counters — the differential suite pins
-   this. Raw [Wire] payloads are decoded on the workers (the dominant
-   ingest cost); non-UPDATE messages are ignored, undecodable bytes
-   counted as decode errors. *)
+(* Ingest a batch of updates, fanned across the ingest lanes on a router
+   created with [?lanes:n > 1] and processed inline (in batch order)
+   otherwise. The two paths produce bit-identical RIB/FIB/heard/export
+   state and counters — the differential suite pins this. Raw [Wire]
+   payloads are decoded on the lanes (the dominant ingest cost);
+   non-UPDATE messages are ignored, undecodable bytes counted as decode
+   errors on either path. *)
 let ingest_updates t batch =
-  match t.ingest_pool with
-  | None ->
-      Array.iter
-        (fun (nid, payload) ->
-          match payload with
-          | Ingest_pool.Update u -> process_neighbor_update t ~neighbor_id:nid u
-          | Ingest_pool.Wire bytes -> (
-              if neighbor t nid = None then
-                invalid_arg "Router.ingest_updates: unknown neighbor";
-              match Codec.decode bytes with
-              | Ok (Msg.Update u) -> process_neighbor_update t ~neighbor_id:nid u
-              | Ok _ | Error _ -> ()))
-        batch
-  | Some pool ->
-      Array.iter
-        (fun (nid, payload) -> Ingest_pool.dispatch pool ~nid payload)
-        batch;
-      Ingest_pool.drain pool ~now:(Engine.now t.engine) ~resolve:(fun nid ->
-          Option.map ingest_target (neighbor t nid));
-      Ingest_pool.consume pool ~apply:(apply_staged t) ~updates:(fun n ->
-          t.counters.updates_from_neighbors <-
-            t.counters.updates_from_neighbors + n)
+  let pool = t.ingest_pool in
+  if t.lanes = 1 then
+    Array.iter
+      (fun (nid, payload) ->
+        if neighbor t nid = None then
+          invalid_arg "Router.ingest_updates: unknown neighbor";
+        match Ingest_pool.decode pool payload with
+        | Some u -> process_neighbor_update t ~neighbor_id:nid u
+        | None -> ())
+      batch
+  else begin
+    Ingest_pool.run pool ~now:(Engine.now t.engine)
+      ~resolve:(fun nid -> Option.map ingest_target (neighbor t nid))
+      batch;
+    Ingest_pool.consume pool
+      ~apply:(fun ~nid ~prefix delta ->
+        match neighbor t nid with
+        | Some ns ->
+            apply_delta t ns (Rib.Fib.Set.table t.fibs nid) ~attrs:[] prefix
+              delta
+        | None -> ())
+      ~updates:(fun n ->
+        t.counters.updates_from_neighbors <-
+          t.counters.updates_from_neighbors + n)
+  end
 
 (* -- session loss: hard drop, stale retention, resync ----------------------- *)
 

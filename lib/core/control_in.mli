@@ -54,13 +54,15 @@ val process_neighbor_update :
 
 val ingest_updates : Router_state.t -> (int * Ingest_pool.payload) array -> unit
 (** Ingest a batch of (neighbor id, update) items through the pipeline.
-    On a router created with [?parallel_ingest:n > 1], the batch is
-    hash-partitioned by neighbor id across the ingest worker domains —
-    which own the wire decode, attribute intern and Adj-RIB-In writes —
-    and reconciled into the FIB + dirty queue on the single writer; on
-    any other router, items are processed inline in batch order. Both
-    paths produce bit-identical state and counters. Raises
-    [Invalid_argument] on an unknown neighbor id. *)
+    On a router created with [?lanes:n > 1], the batch is
+    hash-partitioned by neighbor id across the ingest lanes — which own
+    the wire decode, attribute intern and Adj-RIB-In writes — and
+    reconciled into the FIB + dirty queue on the single writer; on a
+    1-lane router, items are processed inline in batch order. Both paths
+    run the same ingest step ({!Ingest_pool.ingest_update}), produce
+    bit-identical state and counters, and count undecodable wire items
+    in {!Ingest_pool.stats}. Raises [Invalid_argument] on an unknown
+    neighbor id. *)
 
 val add_neighbor :
   Router_state.t ->

@@ -132,7 +132,7 @@ let exportable ~ctl_asn filters variants =
    verdict, the Adj-RIB-Out delta, and the message framing.
 
    The whole flush — sequential (the default, one inline lane) or
-   parallel ([?parallel_export:n]) — runs through [Export_pool]: the
+   parallel ([?lanes:n]) — runs through [Export_pool]: the
    coordinator snapshots the variants of every dirty prefix, captures a
    target per real neighbor (pre-resolving its Adj-RIB-Out so the lazy
    creation never races), and the lanes run the delta + packing +
@@ -336,7 +336,7 @@ let flush_reexports t =
        attribute blocks are computed once per variant across all dirty
        prefixes, and each neighbor receives the batch as packed
        multi-NLRI UPDATEs — fanned across the export lanes when the
-       router was created with [?parallel_export:n > 1]. *)
+       router was created with [?lanes:n > 1]. *)
     flush_v4 t (List.sort Prefix.compare v4)
   end;
   if Hashtbl.length t.dirty_v6 > 0 then begin
@@ -346,7 +346,7 @@ let flush_reexports t =
   end;
   (* The tick flush is the natural publication point for the sharded
      data plane: control churn has settled for this tick, so workers
-     pick up one consistent snapshot (no-op on single-domain routers or
+     pick up one consistent snapshot (no-op on 1-lane routers or
      when nothing the snapshot captures has changed). *)
   shard_publish t
 

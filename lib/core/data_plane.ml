@@ -305,9 +305,9 @@ let forward_frames t (frames : Eth.t array) =
       Array.iter (Shard.dispatch pool) frames;
       Shard.drain pool ~now:(Engine.now t.engine);
       Shard.consume pool
-        ~deliver:(fun nid view ->
+        ~deliver:(fun nid packet ->
           match neighbor t nid with
-          | Some ns -> ns.deliver (Ipv4_packet.View.to_packet view)
+          | Some ns -> ns.deliver packet
           | None -> t.counters.packets_dropped <- t.counters.packets_dropped + 1)
         ~outcome:(fun o ->
           match o with

@@ -36,15 +36,15 @@ val forward_experiment_frame :
 (** A frame an experiment addressed to a neighbor's virtual MAC: data
     enforcement, attribution, TTL, then the neighbor's own FIB. Always
     runs on the sequential path (shared caches), even on a router with
-    worker domains. *)
+    several lanes. *)
 
 val forward_frames : Router_state.t -> Eth.t array -> unit
 (** Forward a batch of experiment frames, each selecting its neighbor
     table by destination MAC (frames with an unknown destination are
-    dropped and counted). With [?domains:1] (the default) this is the
+    dropped and counted). With [?lanes:1] (the default) this is the
     sequential fast path in a loop — bit-identical to calling
-    {!forward_experiment_frame} per frame; with worker domains the batch
-    is hash-partitioned by flow onto the domains, forwarded in parallel
+    {!forward_experiment_frame} per frame; with several lanes the batch
+    is hash-partitioned by flow onto the lanes, forwarded in parallel
     against the published control snapshot ({!Shard}), and all effects
     and counters are folded back before the call returns. The control
     plane must be quiescent for the duration of the call. *)

@@ -1,34 +1,28 @@
-(** The parallel Control_out export lane: N OCaml 5 worker domains, each
-    owning the export-control filtering, Adj-RIB-Out delta, multi-NLRI
-    packing, and wire encoding for a fixed subset of neighbors, with the
-    staged sends replayed by the single writer.
+(** The Control_out export flush and its lanes: a {!Lanes} pool, each
+    lane owning the export-control filtering, Adj-RIB-Out delta,
+    multi-NLRI packing, and wire encoding for a fixed subset of
+    neighbors, with the staged sends replayed by the single writer. A
+    one-lane pool is the sequential flush itself.
 
     Protocol: {!flush} hash-partitions the neighbor targets across the
-    lanes ({!domain_of_neighbor} — deterministic, so each Adj-RIB-Out is
-    single-writer by construction), publishes the coordinator-computed
-    dirty-prefix snapshot plus the facing closure, wakes the
-    persistent parked workers, and blocks until all are done (the
-    done-handshake is the happens-before edge publishing every worker
-    write); {!consume} replays the fully encoded staged messages on the
-    coordinator in neighbor-id order through the caller's send sink and
-    folds the deduplicated facing/block novelty counts. The control
-    plane must be quiesced during a flush; workers only ever run
-    concurrently with each other.
+    lanes ({!Lanes.of_neighbor} — deterministic, so each Adj-RIB-Out is
+    single-writer by construction) and runs them with the
+    coordinator-computed dirty-prefix snapshot plus the facing closure
+    as the run context; {!consume} replays the fully encoded staged
+    messages on the coordinator in neighbor-id order through the
+    caller's send sink and folds the deduplicated facing/block novelty
+    counts. The control plane must be quiesced during a flush; workers
+    only ever run concurrently with each other.
 
-    Each worker runs the same per-(prefix, neighbor) delta loop as the
-    sequential flush and encodes its own messages: one attribute block
-    per facing set per lane per flush ({!Codec.encode_attrs_block}),
-    spliced into every packed message ({!Codec.encode_update_spliced}) —
-    the encode-once wire cache. The parallel-vs-sequential differential
+    Each lane encodes its own messages: one attribute block per facing
+    set per lane per flush ({!Codec.encode_attrs_block}), spliced into
+    every packed message ({!Codec.encode_update_spliced}) — the
+    encode-once wire cache. The parallel-vs-sequential differential
     suite pins adj-out fingerprints, exact counters, and per-neighbor
     wire-byte transcripts, whatever the lane interleaving. *)
 
 open Netcore
 open Bgp
-
-val domain_of_neighbor : workers:int -> int -> int
-(** The home lane of a neighbor id — deterministic; the same mix as
-    {!Ingest_pool.domain_of_neighbor}. *)
 
 (** Per-flush view of one neighbor, captured from live router state by
     the coordinator immediately before the workers run. [xt_out] is the
@@ -47,12 +41,10 @@ type target = {
 
 type t
 
-val create : workers:int -> unit -> t
-(** A pool of [workers] export lanes (>= 1). No domain is spawned until
-    a multi-worker {!flush}; a 1-worker pool runs everything inline on
-    the coordinator. *)
-
-val worker_count : t -> int
+val create : lanes:int -> unit -> t
+(** A pool of [lanes] export lanes (>= 1). No domain is spawned until a
+    multi-lane {!flush}; a 1-lane pool runs everything inline on the
+    coordinator. *)
 
 val flush :
   t ->
@@ -70,7 +62,7 @@ val flush :
     [facing] runs on worker domains, so it may only touch domain-safe
     state (it interns the neighbor-facing set through the striped
     arena). [log] is the
-    per-delta trace hook, retained only when [workers = 1] — tracing is
+    per-delta trace hook, retained only with one lane — tracing is
     not domain-safe, so multi-lane flushes skip trace lines (a
     trace-only divergence the fingerprints never see). The caller must
     not mutate router state during the call. *)
@@ -89,8 +81,7 @@ val consume :
     {!flush} returns. *)
 
 val shutdown : t -> unit
-(** Join the pool's worker domains. Idempotent; the next multi-worker
-    {!flush} respawns workers transparently. *)
+(** {!Lanes.shutdown}. *)
 
 (** {1 Observability} *)
 

@@ -1,68 +1,42 @@
-(* The parallel Control_in ingest lane (the second half of ROADMAP
-   item 1, complementing [Shard]'s data plane): N worker domains, each
-   owning the wire decode, attribute intern, and Adj-RIB-In maintenance
-   for a fixed subset of neighbors, feeding the single-writer tick
+(* The Control_in ingest step and its parallel lane: the per-update RIB
+   work every ingest path runs, and N lanes ({!Lanes}) that run it for a
+   fixed subset of neighbors each, feeding the single-writer tick
    reconciliation.
 
-   Design in one paragraph: updates are dispatched to per-domain input
-   queues by hashing the neighbor id, so every update from a neighbor
-   lands on the same domain and all per-neighbor state — the Adj-RIB-In
-   table, the GR stale set — stays single-writer by construction. Before
-   waking the workers, the coordinator captures a {!target} per queued
-   neighbor (table, peer identity, current stale set), which is also the
-   point where a mid-churn session kill or GR retention becomes visible
-   to the lane. Each worker then replays [Control_in.process_neighbor_-
-   update]'s ingest steps against its own neighbors in dispatch order:
-   decode the wire message, intern the attribute set once per update
-   (through a per-domain {!Attr_arena.Front} cache, so the striped arena
-   lock is rarely touched), unmark GR stale entries, apply RIB
-   withdraw/update, and emit a (neighbor, prefix, delta) record into the
-   domain's staging queue. The coordinator blocks until every worker is
-   done (the same Mutex/Condition parking protocol as [Shard] — the
-   done-handshake is the happens-before edge publishing all worker
-   writes), then {!consume} replays staging in domain order: FIB writes,
-   dirty-queue marks for the PR 6 per-tick flush, and counter folds —
-   everything that touches shared router state stays on the single
-   writer.
+   Design in one paragraph: [ingest_update] is the one per-update step —
+   GR unmark, withdraw, one intern per update, the unchanged-route check
+   and the RIB install — and it hands every route delta to a sink. The
+   sequential path ([Control_in.process_neighbor_update]) passes a sink
+   that writes the FIB and the dirty queue; the lane passes a staging
+   sink. Updates are dispatched to per-lane queues by hashing the
+   neighbor id, so every update from a neighbor lands on the same lane
+   and all per-neighbor state — the Adj-RIB-In table, the GR stale set —
+   stays single-writer by construction. Before the lanes run, the
+   coordinator captures a {!target} per queued neighbor (table, peer
+   identity, current stale set), which is also the point where a
+   mid-churn session kill or GR retention becomes visible to the lane.
+   Each worker decodes the wire message, runs [ingest_update] with its
+   lane-local {!Attr_arena.Front} cache as the intern (so the striped
+   arena lock is rarely touched) and stages the deltas; {!consume} then
+   replays staging in lane order through the same sink the sequential
+   path uses — everything that touches shared router state stays on the
+   single writer.
 
    Determinism (what the differential suite pins): per-neighbor update
-   order is preserved (same domain, FIFO queue), per-neighbor RIB/GR
-   state is disjoint across domains, the FIB replay applies a neighbor's
-   deltas in its processing order, and the dirty queue is a set whose
-   flush sorts by (neighbor id, prefix) — so the RIB/FIB/heard/export
+   order is preserved (same lane, FIFO queue), per-neighbor RIB/GR state
+   is disjoint across lanes, the FIB replay applies a neighbor's deltas
+   in its processing order, and the dirty queue is a set whose flush
+   sorts by (neighbor id, prefix) — so the RIB/FIB/heard/export
    fingerprints and every counter are bit-identical to the sequential
-   batched path, whatever the interleaving of domains. Arena ids may be
+   batched path, whatever the interleaving of lanes. Arena ids may be
    assigned in a different order across runs, but no fingerprint depends
-   on id values (grouping iterates first-seen over sorted prefixes and
-   compares canonical sets). *)
+   on id values. *)
 
 open Netcore
 open Bgp
 
-(* -- partitioning ------------------------------------------------------------ *)
-
-(* Deterministic hash of a neighbor id onto a domain index. Determinism
-   is load-bearing: it makes per-neighbor state single-writer and keeps
-   differential runs reproducible. *)
-let domain_of_neighbor ~workers nid =
-  if workers <= 1 then 0
-  else begin
-    let h = (nid + 0x61c88647) * 0x9e3779b1 in
-    (h lxor (h lsr 16)) land max_int mod workers
-  end
-
-(* -- what flows through the lane --------------------------------------------- *)
-
-(* An input item: a raw wire message (the worker owns the decode — the
-   dominant ingest cost) or an already-decoded update (session-delivered
-   batches). *)
 type payload = Wire of string | Update of Msg.update
 
-(* Per-drain view of one neighbor, captured by the coordinator from live
-   router state immediately before the workers run (so session kills, GR
-   retentions and resyncs between batches are always reflected). The
-   stale table is the live GR hold: the owning worker unmarks it
-   directly — exactly one domain touches a given neighbor's set. *)
 type target = {
   tg_id : int;
   tg_peer_ip : Ipv4.t;
@@ -71,281 +45,154 @@ type target = {
   tg_gr : (Prefix.t, unit) Hashtbl.t option;
 }
 
-(* A staged route delta: what the coordinator must replay against shared
-   state. [D_withdraw] carries whether the withdraw changed the best
-   route (the sequential path only marks the dirty queue in that case);
-   the FIB remove itself is unconditional, mirroring
-   [process_neighbor_update]. *)
 type delta = D_withdraw of bool | D_install of Rib.Fib.entry
+
+(* -- the per-update ingest step ---------------------------------------------- *)
+
+let withdraw_best = D_withdraw true
+let withdraw_other = D_withdraw false
+
+let gr_unmark tg prefix =
+  match tg.tg_gr with Some stale -> Hashtbl.remove stale prefix | None -> ()
+
+(* The GR unmark fires for *every* NLRI (a re-announcement identical to
+   the installed route refreshes the stale mark even though it installs
+   nothing), and every withdrawn NLRI yields a delta: the FIB remove is
+   unconditional, only the dirty mark depends on the best route. *)
+let ingest_update ~intern ~apply ~now tg (u : Msg.update) =
+  let peer_ip = tg.tg_peer_ip in
+  List.iter
+    (fun (n : Msg.nlri) ->
+      gr_unmark tg n.prefix;
+      match
+        Rib.Table.withdraw tg.tg_rib ~prefix:n.prefix ~peer_ip ~path_id:None
+      with
+      | Rib.Table.Best_changed _ -> apply n.prefix withdraw_best
+      | Rib.Table.Unchanged -> apply n.prefix withdraw_other)
+    u.withdrawn;
+  if u.announced <> [] then begin
+    (* Per-NLRI constants hoisted out of the loop: one intern for the
+       whole list (the unchanged check becomes O(1) and installed routes
+       share the canonical set) and one install delta. *)
+    let source = Rib.Route.source ~peer_ip ~peer_asn:tg.tg_peer_asn () in
+    let attrs_h = intern u.attrs in
+    let install =
+      D_install { Rib.Fib.next_hop = peer_ip; neighbor = tg.tg_id }
+    in
+    List.iter
+      (fun (n : Msg.nlri) ->
+        gr_unmark tg n.prefix;
+        let unchanged =
+          List.exists
+            (fun (r : Rib.Route.t) ->
+              Rib.Route.key_matches ~peer_ip ~path_id:None r
+              && Attr_arena.equal (Rib.Route.attrs_handle r) attrs_h)
+            (Rib.Table.candidates tg.tg_rib n.prefix)
+        in
+        if not unchanged then begin
+          ignore
+            (Rib.Table.update tg.tg_rib
+               (Rib.Route.make_h ~learned_at:now ~prefix:n.prefix ~attrs_h
+                  ~source ()));
+          apply n.prefix install
+        end)
+      u.announced
+  end
+
+(* -- the lane ------------------------------------------------------------------ *)
 
 type staged = { sg_nid : int; sg_prefix : Prefix.t; sg_delta : delta }
 
-(* -- per-domain state -------------------------------------------------------- *)
-
-type dom = {
-  d_front : Attr_arena.Front.cache;
-  d_targets : (int, target) Hashtbl.t;
-      (** rebuilt by the coordinator before every drain *)
-  mutable d_q : (int * payload) array;
-  mutable d_qlen : int;
-  mutable d_qmax : int;  (** lifetime high-water mark (diagnostics) *)
-  mutable d_staged : staged list;  (** reversed; drained on [consume] *)
-  mutable d_staged_n : int;
-  mutable d_updates : int;  (** UPDATEs processed this drain *)
-  mutable d_decode_errors : int;
+type lane = {
+  l_front : Attr_arena.Front.cache;
+  l_targets : (int, target) Hashtbl.t;
+      (** rebuilt by the coordinator before every run *)
+  mutable l_staged : staged list;  (** reversed; drained on [consume] *)
+  mutable l_staged_n : int;
+  mutable l_updates : int;  (** UPDATEs processed this run *)
+  mutable l_decode_errors : int;  (** cumulative *)
 }
 
-(* Worker parking protocol — identical to [Shard]: persistent domains
-   sleep on [cond] between drains; all [w_state] transitions happen
-   under [lock], which doubles as the happens-before edge for the plain
-   per-domain fields. *)
-type wstate = W_idle | W_work of float | W_done | W_quit
+(* A lane processes its queued (neighbor id, payload) items at the
+   run's clock. *)
+type t = (lane, int * payload, float) Lanes.t
 
-type t = {
-  workers : int;
-  doms : dom array;
-  lock : Mutex.t;
-  cond : Condition.t;
-  w_state : wstate array;  (** one slot per worker, [workers - 1] long *)
-  mutable handles : unit Domain.t array;  (** [ [||] ] = not spawned *)
-  mutable errors : int;  (** cumulative decode errors (folded on consume) *)
-}
+let decode_on l = function
+  | Update u -> Some u
+  | Wire bytes -> (
+      match Codec.decode bytes with
+      | Ok (Msg.Update u) -> Some u
+      | Ok _ -> None
+      | Error _ ->
+          l.l_decode_errors <- l.l_decode_errors + 1;
+          None)
 
-let dummy_item = (-1, Update (Msg.update ()))
+(* Lane 0 is the coordinator's, so the sequential path counts its decode
+   errors there. *)
+let decode t payload = decode_on (Lanes.state t 0) payload
 
-let make_dom () =
-  {
-    d_front = Attr_arena.Front.create ();
-    d_targets = Hashtbl.create 16;
-    d_q = Array.make 256 dummy_item;
-    d_qlen = 0;
-    d_qmax = 0;
-    d_staged = [];
-    d_staged_n = 0;
-    d_updates = 0;
-    d_decode_errors = 0;
-  }
-
-let create ~workers () =
-  if workers < 1 then invalid_arg "Ingest_pool.create: workers must be >= 1";
-  {
-    workers;
-    doms = Array.init workers (fun _ -> make_dom ());
-    lock = Mutex.create ();
-    cond = Condition.create ();
-    w_state = Array.make (workers - 1) W_idle;
-    handles = [||];
-    errors = 0;
-  }
-
-let worker_count t = t.workers
-
-(* -- dispatch ---------------------------------------------------------------- *)
-
-let push d item =
-  if d.d_qlen = Array.length d.d_q then begin
-    let bigger = Array.make (2 * Array.length d.d_q) dummy_item in
-    Array.blit d.d_q 0 bigger 0 d.d_qlen;
-    d.d_q <- bigger
-  end;
-  d.d_q.(d.d_qlen) <- item;
-  d.d_qlen <- d.d_qlen + 1;
-  if d.d_qlen > d.d_qmax then d.d_qmax <- d.d_qlen
-
-let dispatch t ~nid payload =
-  push t.doms.(domain_of_neighbor ~workers:t.workers nid) (nid, payload)
-
-let queued t = Array.fold_left (fun acc d -> acc + d.d_qlen) 0 t.doms
-
-(* -- worker: one update ------------------------------------------------------ *)
-
-(* Replay of [Control_in.process_neighbor_update]'s batched ingest steps
-   against worker-owned state, with the shared-state writes (FIB, dirty
-   queue, counters) emitted as staging records instead of performed.
-   Per-NLRI behavior must stay exactly in step with the sequential path —
-   including the GR unmark firing for *every* NLRI (a re-announcement
-   identical to the installed route refreshes the stale mark even though
-   it installs nothing) and the unconditional FIB remove on withdraw. *)
-let process d ~now nid payload =
-  let tg = Hashtbl.find d.d_targets nid in
-  let u =
-    match payload with
-    | Update u -> Some u
-    | Wire bytes -> (
-        match Codec.decode bytes with
-        | Ok (Msg.Update u) -> Some u
-        | Ok _ -> None
-        | Error _ ->
-            d.d_decode_errors <- d.d_decode_errors + 1;
-            None)
-  in
-  match u with
+let process now l (nid, payload) =
+  match decode_on l payload with
   | None -> ()
   | Some u ->
-      d.d_updates <- d.d_updates + 1;
-      let peer_ip = tg.tg_peer_ip in
-      let gr_unmark prefix =
-        match tg.tg_gr with
-        | Some stale -> Hashtbl.remove stale prefix
-        | None -> ()
-      in
-      let stage sg =
-        d.d_staged <- sg :: d.d_staged;
-        d.d_staged_n <- d.d_staged_n + 1
-      in
-      List.iter
-        (fun (n : Msg.nlri) ->
-          gr_unmark n.prefix;
-          let best_changed =
-            match
-              Rib.Table.withdraw tg.tg_rib ~prefix:n.prefix ~peer_ip
-                ~path_id:None
-            with
-            | Rib.Table.Best_changed _ -> true
-            | Rib.Table.Unchanged -> false
-          in
-          stage
-            { sg_nid = nid; sg_prefix = n.prefix; sg_delta = D_withdraw best_changed })
-        u.withdrawn;
-      if u.announced <> [] then begin
-        let source = Rib.Route.source ~peer_ip ~peer_asn:tg.tg_peer_asn () in
-        (* One intern per update, as in the sequential path — but through
-           the domain's front cache, so repeats skip the arena lock. *)
-        let attrs_h = Attr_arena.Front.intern d.d_front u.attrs in
-        let entry = { Rib.Fib.next_hop = peer_ip; neighbor = tg.tg_id } in
-        List.iter
-          (fun (n : Msg.nlri) ->
-            gr_unmark n.prefix;
-            let unchanged =
-              List.exists
-                (fun (r : Rib.Route.t) ->
-                  Rib.Route.key_matches ~peer_ip ~path_id:None r
-                  && Attr_arena.equal (Rib.Route.attrs_handle r) attrs_h)
-                (Rib.Table.candidates tg.tg_rib n.prefix)
-            in
-            if not unchanged then begin
-              let route =
-                Rib.Route.make_h ~learned_at:now ~prefix:n.prefix ~attrs_h
-                  ~source ()
-              in
-              ignore (Rib.Table.update tg.tg_rib route);
-              stage
-                { sg_nid = nid; sg_prefix = n.prefix; sg_delta = D_install entry }
-            end)
-          u.announced
-      end
+      l.l_updates <- l.l_updates + 1;
+      ingest_update
+        ~intern:(Attr_arena.Front.intern l.l_front)
+        ~apply:(fun prefix delta ->
+          l.l_staged <-
+            { sg_nid = nid; sg_prefix = prefix; sg_delta = delta }
+            :: l.l_staged;
+          l.l_staged_n <- l.l_staged_n + 1)
+        ~now (Hashtbl.find l.l_targets nid) u
 
-let worker d ~now =
-  for i = 0 to d.d_qlen - 1 do
-    let nid, payload = d.d_q.(i) in
-    process d ~now nid payload
-  done;
-  (* Drop item references so the queue doesn't pin wire buffers alive. *)
-  Array.fill d.d_q 0 d.d_qlen dummy_item;
-  d.d_qlen <- 0
+let create ~lanes () =
+  Lanes.create ~lanes
+    ~dummy:(-1, Update (Msg.update ()))
+    ~init:(fun _ ->
+      {
+        l_front = Attr_arena.Front.create ();
+        l_targets = Hashtbl.create 16;
+        l_staged = [];
+        l_staged_n = 0;
+        l_updates = 0;
+        l_decode_errors = 0;
+      })
+    ~work:process
 
-let worker_loop t i =
-  let d = t.doms.(i + 1) in
-  Mutex.lock t.lock;
-  let rec loop () =
-    match t.w_state.(i) with
-    | W_idle | W_done ->
-        Condition.wait t.cond t.lock;
-        loop ()
-    | W_quit -> Mutex.unlock t.lock
-    | W_work now ->
-        Mutex.unlock t.lock;
-        worker d ~now;
-        Mutex.lock t.lock;
-        t.w_state.(i) <- W_done;
-        Condition.broadcast t.cond;
-        loop ()
-  in
-  loop ()
-
-(* -- drain ------------------------------------------------------------------- *)
-
-(* Process everything queued. [resolve] maps a neighbor id to its target,
-   reading *live* router state — the coordinator installs targets for
-   every queued neighbor before any worker wakes, and raises on an
-   unknown id (the sequential path does the same). The caller must
-   quiesce control mutation for the duration: workers run concurrently
-   with each other, never with the engine or session callbacks. *)
-let drain t ~now ~resolve =
+(* Ingest one batch on the lanes. Every neighbor in the batch is resolved
+   to a target from *live* router state before anything is queued (an
+   unknown id raises and queues nothing, as on the sequential path). *)
+let run t ~now ~resolve batch =
+  let lanes = Lanes.count t in
+  Lanes.iter (fun l -> Hashtbl.reset l.l_targets) t;
   Array.iter
-    (fun d ->
-      Hashtbl.reset d.d_targets;
-      for i = 0 to d.d_qlen - 1 do
-        let nid, _ = d.d_q.(i) in
-        if not (Hashtbl.mem d.d_targets nid) then
-          match resolve nid with
-          | Some tg -> Hashtbl.replace d.d_targets nid tg
-          | None -> invalid_arg "Router.ingest_updates: unknown neighbor"
-      done)
-    t.doms;
-  if t.workers = 1 then worker t.doms.(0) ~now
-  else begin
-    if Array.length t.handles = 0 then
-      t.handles <-
-        Array.init (t.workers - 1) (fun i ->
-            Domain.spawn (fun () -> worker_loop t i));
-    Mutex.lock t.lock;
-    for i = 0 to t.workers - 2 do
-      t.w_state.(i) <- W_work now
-    done;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    worker t.doms.(0) ~now;
-    Mutex.lock t.lock;
-    for i = 0 to t.workers - 2 do
-      while t.w_state.(i) <> W_done do
-        Condition.wait t.cond t.lock
-      done;
-      t.w_state.(i) <- W_idle
-    done;
-    Mutex.unlock t.lock
-  end
+    (fun (nid, _) ->
+      let l = Lanes.state t (Lanes.of_neighbor ~lanes nid) in
+      if not (Hashtbl.mem l.l_targets nid) then
+        match resolve nid with
+        | Some tg -> Hashtbl.replace l.l_targets nid tg
+        | None -> invalid_arg "Router.ingest_updates: unknown neighbor")
+    batch;
+  Array.iter
+    (fun ((nid, _) as item) -> Lanes.push t (Lanes.of_neighbor ~lanes nid) item)
+    batch;
+  Lanes.run t now
 
-(* -- reconciliation ---------------------------------------------------------- *)
-
-(* Replay the drain's staging records on the coordinator, in domain order
-   and per-domain FIFO order (so each neighbor's deltas apply in its
-   processing order — cross-neighbor order is irrelevant: per-neighbor
-   FIB tables are disjoint and the dirty queue is an unordered set).
-   Runs after [drain] observed every worker's [W_done] under the lock,
-   which establishes the happens-before edge for the plain fields. *)
 let consume t ~apply ~updates =
   let upd = ref 0 in
-  Array.iter
-    (fun d ->
-      upd := !upd + d.d_updates;
-      d.d_updates <- 0;
-      t.errors <- t.errors + d.d_decode_errors;
-      d.d_decode_errors <- 0;
+  Lanes.iter
+    (fun l ->
+      upd := !upd + l.l_updates;
+      l.l_updates <- 0;
       List.iter
         (fun sg -> apply ~nid:sg.sg_nid ~prefix:sg.sg_prefix sg.sg_delta)
-        (List.rev d.d_staged);
-      d.d_staged <- [];
-      d.d_staged_n <- 0)
-    t.doms;
+        (List.rev l.l_staged);
+      l.l_staged <- [];
+      l.l_staged_n <- 0)
+    t;
   if !upd > 0 then updates !upd
 
-(* -- shutdown ---------------------------------------------------------------- *)
-
-(* Join the worker domains (each live domain counts against the runtime's
-   limit). Idempotent; the next multi-worker [drain] respawns
-   transparently — queues, staging and caches live in [doms] and
-   survive. *)
-let shutdown t =
-  if Array.length t.handles > 0 then begin
-    Mutex.lock t.lock;
-    Array.iteri (fun i _ -> t.w_state.(i) <- W_quit) t.w_state;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    Array.iter Domain.join t.handles;
-    t.handles <- [||];
-    Array.iteri (fun i _ -> t.w_state.(i) <- W_idle) t.w_state
-  end
+let shutdown = Lanes.shutdown
 
 (* -- observability ----------------------------------------------------------- *)
 
@@ -358,26 +205,11 @@ type stats = {
 }
 
 let stats t =
-  let fh = ref 0 and fm = ref 0 and residual = ref 0 in
-  Array.iter
-    (fun d ->
-      fh := !fh + Attr_arena.Front.hits d.d_front;
-      fm := !fm + Attr_arena.Front.misses d.d_front;
-      residual := !residual + d.d_staged_n)
-    t.doms;
+  let sum f = Lanes.fold (fun acc l -> acc + f l) 0 t in
   {
-    front_hits = !fh;
-    front_misses = !fm;
-    decode_errors = t.errors;
-    staging_residual = !residual;
-    queue_depth_max = Array.map (fun d -> d.d_qmax) t.doms;
-  }
-
-let zero_stats =
-  {
-    front_hits = 0;
-    front_misses = 0;
-    decode_errors = 0;
-    staging_residual = 0;
-    queue_depth_max = [||];
+    front_hits = sum (fun l -> Attr_arena.Front.hits l.l_front);
+    front_misses = sum (fun l -> Attr_arena.Front.misses l.l_front);
+    decode_errors = sum (fun l -> l.l_decode_errors);
+    staging_residual = sum (fun l -> l.l_staged_n);
+    queue_depth_max = Lanes.depth_max t;
   }

@@ -1,0 +1,136 @@
+(* Worker lanes: the parked-domain protocol shared by the sharded data
+   plane, the ingest lane and the export lane. See lanes.mli for the
+   contract; the comments here cover the mechanics. *)
+
+type ('s, 'i) lane = {
+  st : 's;
+  mutable q : 'i array;
+  mutable len : int;
+  mutable hw : int;  (** lifetime high-water mark of [len] *)
+}
+
+(* A worker's slot. [W_work] is posted by the coordinator, [W_done] by
+   the worker, [W_quit] by [shutdown]; every transition happens under
+   [lock]. *)
+type wstate = W_idle | W_work | W_done | W_quit
+
+type ('s, 'i, 'c) t = {
+  lanes : ('s, 'i) lane array;
+  dummy : 'i;
+  work : 'c -> 's -> 'i -> unit;
+  lock : Mutex.t;
+  cond : Condition.t;
+  w_state : wstate array;  (** one slot per worker, [count - 1] long *)
+  mutable ctx : 'c option;  (** the context of the run in progress *)
+  mutable handles : unit Domain.t array;  (** [ [||] ] = not spawned *)
+}
+
+let create ~lanes ~dummy ~init ~work =
+  if lanes < 1 then invalid_arg "Lanes.create: lanes must be >= 1";
+  {
+    lanes =
+      Array.init lanes (fun i ->
+          { st = init i; q = Array.make 64 dummy; len = 0; hw = 0 });
+    dummy;
+    work;
+    lock = Mutex.create ();
+    cond = Condition.create ();
+    w_state = Array.make (lanes - 1) W_idle;
+    ctx = None;
+    handles = [||];
+  }
+
+let count t = Array.length t.lanes
+let state t i = t.lanes.(i).st
+let iter f t = Array.iter (fun l -> f l.st) t.lanes
+let fold f acc t = Array.fold_left (fun acc l -> f acc l.st) acc t.lanes
+
+(* Determinism is load-bearing: it keeps per-neighbor state single-writer
+   and differential runs reproducible. Quality only needs to spread
+   dense small ids. *)
+let of_neighbor ~lanes nid =
+  if lanes <= 1 then 0
+  else begin
+    let h = (nid + 0x61c88647) * 0x9e3779b1 in
+    (h lxor (h lsr 16)) land max_int mod lanes
+  end
+
+let push t i item =
+  let l = t.lanes.(i) in
+  if l.len = Array.length l.q then begin
+    let bigger = Array.make (2 * l.len) t.dummy in
+    Array.blit l.q 0 bigger 0 l.len;
+    l.q <- bigger
+  end;
+  l.q.(l.len) <- item;
+  l.len <- l.len + 1;
+  if l.len > l.hw then l.hw <- l.len
+
+let depth_max t = Array.map (fun l -> l.hw) t.lanes
+let spawned t = Array.length t.handles
+
+let drain_lane t ctx l =
+  for i = 0 to l.len - 1 do
+    t.work ctx l.st l.q.(i)
+  done;
+  Array.fill l.q 0 l.len t.dummy;
+  l.len <- 0
+
+(* The persistent worker body: park until the coordinator posts
+   [W_work], drain the lane outside the lock (workers run genuinely in
+   parallel), post [W_done], park again. *)
+let worker_loop t i =
+  let l = t.lanes.(i + 1) in
+  Mutex.lock t.lock;
+  let rec loop () =
+    match (t.w_state.(i), t.ctx) with
+    | W_quit, _ -> Mutex.unlock t.lock
+    | W_work, Some ctx ->
+        Mutex.unlock t.lock;
+        drain_lane t ctx l;
+        Mutex.lock t.lock;
+        t.w_state.(i) <- W_done;
+        Condition.broadcast t.cond;
+        loop ()
+    | (W_idle | W_done | W_work), _ ->
+        Condition.wait t.cond t.lock;
+        loop ()
+  in
+  loop ()
+
+let run t ctx =
+  let workers = Array.length t.w_state in
+  if workers = 0 then drain_lane t ctx t.lanes.(0)
+  else begin
+    if Array.length t.handles = 0 then
+      t.handles <-
+        Array.init workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
+    Mutex.lock t.lock;
+    t.ctx <- Some ctx;
+    Array.fill t.w_state 0 workers W_work;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.lock;
+    drain_lane t ctx t.lanes.(0);
+    Mutex.lock t.lock;
+    for i = 0 to workers - 1 do
+      while t.w_state.(i) <> W_done do
+        Condition.wait t.cond t.lock
+      done
+    done;
+    Array.fill t.w_state 0 workers W_idle;
+    (* Drop the context: it may capture router state. *)
+    t.ctx <- None;
+    Mutex.unlock t.lock
+  end
+
+let shutdown t =
+  if Array.length t.handles > 0 then begin
+    let workers = Array.length t.w_state in
+    Mutex.lock t.lock;
+    Array.fill t.w_state 0 workers W_quit;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.lock;
+    Array.iter Domain.join t.handles;
+    t.handles <- [||];
+    Array.fill t.w_state 0 workers W_idle
+  end

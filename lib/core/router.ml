@@ -93,7 +93,6 @@ type ingest_payload = Ingest_pool.payload =
   | Update of Msg.update
 
 let ingest_updates = Control_in.ingest_updates
-let parallel_ingest t = t.Router_state.parallel_ingest
 
 type ingest_stats = Ingest_pool.stats = {
   front_hits : int;
@@ -103,14 +102,9 @@ type ingest_stats = Ingest_pool.stats = {
   queue_depth_max : int array;
 }
 
-let ingest_stats t =
-  match t.Router_state.ingest_pool with
-  | Some pool -> Ingest_pool.stats pool
-  | None -> Ingest_pool.zero_stats
+let ingest_stats t = Ingest_pool.stats t.Router_state.ingest_pool
 
 (* -- parallel export lane ----------------------------------------------------- *)
-
-let parallel_export t = t.Router_state.parallel_export
 
 type export_stats = Export_pool.stats = {
   wire_cache_hits : int;
@@ -129,7 +123,10 @@ let export_stats t = Export_pool.stats t.Router_state.export_pool
 let inject_from_neighbor = Data_plane.inject_from_neighbor
 let forward_experiment_frame = Data_plane.forward_experiment_frame
 let forward_frames = Data_plane.forward_frames
-let domains t = t.Router_state.domains
+
+(* -- lanes ------------------------------------------------------------------- *)
+
+let lanes t = t.Router_state.lanes
 
 let shard_queue_depth_max t =
   match t.Router_state.pool with
@@ -137,12 +134,8 @@ let shard_queue_depth_max t =
   | None -> [||]
 
 let shutdown_domains t =
-  (match t.Router_state.pool with
-  | Some pool -> Shard.shutdown pool
-  | None -> ());
-  (match t.Router_state.ingest_pool with
-  | Some pool -> Ingest_pool.shutdown pool
-  | None -> ());
+  Option.iter Shard.shutdown t.Router_state.pool;
+  Ingest_pool.shutdown t.Router_state.ingest_pool;
   Export_pool.shutdown t.Router_state.export_pool
 
 (* -- wiring ----------------------------------------------------------------- *)

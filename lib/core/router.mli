@@ -82,9 +82,7 @@ val create :
   ?data:Data_enforcer.t ->
   ?flow_cache:bool ->
   ?ingest_batching:bool ->
-  ?domains:int ->
-  ?parallel_ingest:int ->
-  ?parallel_export:int ->
+  ?lanes:int ->
   ?seed:int ->
   ?gr_restart_time:int ->
   unit ->
@@ -99,26 +97,20 @@ val create :
     [true]) defers neighbor/mesh-ingest export fan-out to a per-tick
     dirty-queue flush that emits packed multi-NLRI UPDATEs; disabling it
     restores the eager per-prefix export path (again, the reference the
-    differential tests compare against). [domains] (default 1) shards
-    the data plane's batch entry point ({!forward_frames}) across that
-    many OCaml worker domains, each owning domain-local flow and
-    destination caches and forwarding against an immutable
-    generation-stamped control snapshot ({!Shard}); 1 keeps the
-    sequential path, bit-identical to pre-sharding behavior, and more
-    than 1 requires the flow cache. [parallel_ingest] (default 1) fans
-    the control plane's batch ingest entry point ({!ingest_updates})
-    across that many worker domains — each owning its neighbors' wire
-    decode, attribute intern and Adj-RIB-In writes, reconciled into the
-    single-writer FIB/export pipeline at the tick boundary
-    ({!Ingest_pool}); 1 keeps the sequential batched path, bit-identical,
-    and more than 1 requires [ingest_batching]. [parallel_export]
-    (default 1) hash-partitions the dirty-prefix flush toward neighbors
-    ({!flush_reexports}) across that many export lanes — each owning its
-    neighbors' export-control filtering, Adj-RIB-Out delta, multi-NLRI
-    packing, and wire encoding against a read-only per-flush snapshot,
-    with the staged messages replayed by the single writer
-    ({!Export_pool}); 1 keeps the sequential flush, byte-identical on
-    the wire. [seed] drives the
+    differential tests compare against). [lanes] (default 1) is the
+    worker-lane count of the three parallel paths, each a {!Lanes} pool:
+    the data plane's batch entry point ({!forward_frames}) shards frames
+    by flow across lane-local flow caches against an immutable control
+    snapshot ({!Shard}); the batch ingest entry point ({!ingest_updates})
+    partitions updates by neighbor, each lane owning its neighbors' wire
+    decode, attribute intern and Adj-RIB-In writes ({!Ingest_pool}); and
+    the dirty-prefix flush toward neighbors ({!flush_reexports})
+    partitions neighbors, each lane owning their export filtering,
+    Adj-RIB-Out deltas, packing and wire encoding ({!Export_pool}). The
+    single writer replays every lane's staged effects, so 1 lane and
+    [n] lanes are bit-identical (byte-identical on the wire); 1 runs
+    everything inline and never spawns a domain. More than 1 requires
+    the flow cache and [ingest_batching]. [seed] drives the
     router's deterministic RNG (reconnect jitter); [gr_restart_time] is
     the graceful-restart window it advertises (RFC 4724) — 0 disables
     graceful restart. *)
@@ -215,8 +207,8 @@ type ingest_payload = Ingest_pool.payload =
 
 val ingest_updates : t -> (int * ingest_payload) array -> unit
 (** Ingest a batch of (neighbor id, update) items through the full
-    pipeline. On a [?parallel_ingest:n] router with [n > 1] the batch is
-    hash-partitioned by neighbor id across the ingest worker domains
+    pipeline. On a [?lanes:n] router with [n > 1] the batch is
+    hash-partitioned by neighbor id across the ingest lanes
     (each owning decode, intern, and the neighbor's Adj-RIB-In) and the
     staged route deltas are reconciled into the FIB and the per-tick
     dirty queue on the single writer before the call returns; otherwise
@@ -224,11 +216,8 @@ val ingest_updates : t -> (int * ingest_payload) array -> unit
     bit-identical state and counters — the par-ingest differential suite
     pins this. Raises [Invalid_argument] on an unknown neighbor id. *)
 
-val parallel_ingest : t -> int
-(** The router's ingest-lane count (1 = sequential batched ingest). *)
-
 type ingest_stats = Ingest_pool.stats = {
-  front_hits : int;  (** per-domain intern front-cache hits, summed *)
+  front_hits : int;  (** per-lane intern front-cache hits, summed *)
   front_misses : int;
   decode_errors : int;  (** cumulative undecodable wire items *)
   staging_residual : int;
@@ -239,10 +228,8 @@ type ingest_stats = Ingest_pool.stats = {
 }
 
 val ingest_stats : t -> ingest_stats
-(** All-zero (empty array) on a sequential-ingest router. *)
-
-val parallel_export : t -> int
-(** The router's export-lane count (1 = sequential flush). *)
+(** Live on every router; with one lane only [decode_errors] moves (the
+    sequential path decodes on the coordinator's lane). *)
 
 type export_stats = Export_pool.stats = {
   wire_cache_hits : int;
@@ -261,8 +248,7 @@ type export_stats = Export_pool.stats = {
 
 val export_stats : t -> export_stats
 (** Live on every router: the single-lane pool {e is} the sequential
-    flush path, so the wire cache accumulates regardless of
-    [?parallel_export]. *)
+    flush path, so the wire cache accumulates regardless of [?lanes]. *)
 
 val flush_reexports : t -> unit
 (** Drain the batched-ingest queue (neighbor/mesh routes toward
@@ -281,34 +267,33 @@ val inject_from_neighbor : t -> neighbor_id:int -> Ipv4_packet.t -> unit
 val forward_experiment_frame : t -> neighbor_id:int -> Eth.t -> unit
 (** A frame an experiment addressed to a neighbor's virtual MAC (normally
     invoked via the LAN station). Always sequential, even on a router
-    with worker domains. *)
+    with several lanes. *)
 
 val forward_frames : t -> Eth.t array -> unit
 (** Forward a batch of experiment frames, each selecting its neighbor by
     destination MAC (unknown destinations drop and count). On a
-    [?domains:n] router with [n > 1] the batch is hash-partitioned by
-    flow across the worker domains and forwarded in parallel against the
+    [?lanes:n] router with [n > 1] the batch is hash-partitioned by
+    flow across the lanes and forwarded in parallel against the
     published control snapshot; effects and counters are folded back
-    before the call returns. With one domain this is the sequential fast
+    before the call returns. With one lane this is the sequential fast
     path in a loop. *)
 
-val domains : t -> int
-(** The router's worker-domain count (1 = sequential data plane). *)
+val lanes : t -> int
+(** The router's lane count (1 = the sequential paths). *)
 
 val shard_queue_depth_max : t -> int array
-(** Per-domain ingress queue high-water mark of the sharded data plane
+(** Per-lane queue high-water mark of the sharded data plane
     (empty on sequential routers) — recorded in the fwd-par bench so
     speedup-floor failures are diagnosable from the JSON alone. *)
 
 val shutdown_domains : t -> unit
 (** Join the router's parked worker domains — the sharded data plane's,
-    the parallel ingest lane's, and the parallel export lane's (each
-    live domain counts against the OCaml runtime's domain limit, so
-    tests and benchmarks churning many
-    [?domains]/[?parallel_ingest]/[?parallel_export] routers should
-    release them). Idempotent, a no-op on sequential routers, and
-    transparent: the next parallel batch respawns workers with all
-    state (caches, counters, shaper replicas) intact. *)
+    the ingest lane's and the export lane's (each live domain counts
+    against the OCaml runtime's domain limit, so tests and benchmarks
+    churning many [?lanes] routers should release them). Idempotent, a
+    no-op on 1-lane routers, and transparent: the next parallel batch
+    respawns workers with all state (caches, counters, shaper replicas)
+    intact. *)
 
 (** {1 Wiring} *)
 

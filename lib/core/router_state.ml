@@ -214,18 +214,13 @@ type t = {
       (** serve forwarding decisions from the per-neighbor flow caches
           (off forces every frame through the slow path — the reference
           behavior differential tests compare against) *)
-  domains : int;
-      (** worker domains for the sharded data plane; 1 = the sequential
-          path (the default, bit-identical to pre-sharding behavior) *)
-  mutable pool : Shard.t option;  (** the worker pool when [domains > 1] *)
-  parallel_ingest : int;
-      (** worker domains for the parallel ingest lane; 1 = the
-          sequential batched path (the default, bit-identical) *)
-  mutable ingest_pool : Ingest_pool.t option;
-      (** the ingest worker pool when [parallel_ingest > 1] *)
-  parallel_export : int;
-      (** worker domains for the parallel export lane; 1 = the
-          sequential flush (the default, byte-identical on the wire) *)
+  lanes : int;
+      (** worker lanes of the sharded data plane, the ingest lane and the
+          export lane ({!Lanes}); 1 = the sequential paths (the default) *)
+  pool : Shard.t option;  (** the sharded data plane when [lanes > 1] *)
+  ingest_pool : Ingest_pool.t;
+      (** always present: with one lane it only counts the sequential
+          path's decode errors *)
   export_pool : Export_pool.t;
       (** always present: the single-lane pool is the sequential flush
           path itself (inline on the coordinator), so the encode-once
@@ -245,16 +240,11 @@ let default_v6_next_hop = Ipv6.of_string_exn "2804:269c::1"
 let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     ~primary_ip ?(v6_next_hop = default_v6_next_hop) ~local_pool ~global_pool
     ?control ?data ?(flow_cache = true) ?(ingest_batching = true)
-    ?(domains = 1) ?(parallel_ingest = 1) ?(parallel_export = 1) ?(seed = 42)
-    ?(gr_restart_time = 120) () =
-  if domains < 1 then invalid_arg "Router.create: domains must be >= 1";
-  if domains > 1 && not flow_cache then
+    ?(lanes = 1) ?(seed = 42) ?(gr_restart_time = 120) () =
+  if lanes < 1 then invalid_arg "Router.create: lanes must be >= 1";
+  if lanes > 1 && not flow_cache then
     invalid_arg "Router.create: the sharded data plane requires the flow cache";
-  if parallel_ingest < 1 then
-    invalid_arg "Router.create: parallel_ingest must be >= 1";
-  if parallel_export < 1 then
-    invalid_arg "Router.create: parallel_export must be >= 1";
-  if parallel_ingest > 1 && not ingest_batching then
+  if lanes > 1 && not ingest_batching then
     invalid_arg
       "Router.create: the parallel ingest lane requires batched ingest";
   let control =
@@ -326,15 +316,10 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     rng = Random.State.make [| seed; Hashtbl.hash name |];
     gr_restart_time;
     flow_cache_enabled = flow_cache;
-    domains;
-    pool = (if domains > 1 then Some (Shard.create ~domains ()) else None);
-    parallel_ingest;
-    ingest_pool =
-      (if parallel_ingest > 1 then
-         Some (Ingest_pool.create ~workers:parallel_ingest ())
-       else None);
-    parallel_export;
-    export_pool = Export_pool.create ~workers:parallel_export ();
+    lanes;
+    pool = (if lanes > 1 then Some (Shard.create ~lanes ()) else None);
+    ingest_pool = Ingest_pool.create ~lanes ();
+    export_pool = Export_pool.create ~lanes ();
     shard_fp = [];
   }
 
@@ -422,7 +407,7 @@ let shard_fingerprint t =
 
 (* Publish a fresh control snapshot to the worker pool when anything it
    captures has changed. Called at every tick flush and lazily before
-   each sharded drain; a no-op on single-domain routers. The snapshot
+   each sharded drain; a no-op on 1-lane routers. The snapshot
    tables are built fresh here and handed over immutably; the per-neighbor
    FIB tries are persistent values, so capturing the roots is O(neighbors)
    regardless of table size. *)

@@ -182,18 +182,13 @@ type t = {
       (** the restart window this router advertises (RFC 4724), seconds *)
   flow_cache_enabled : bool;
       (** serve forwarding decisions from the per-neighbor flow caches *)
-  domains : int;
-      (** worker domains for the sharded data plane; 1 = the sequential
-          path (the default, bit-identical to pre-sharding behavior) *)
-  mutable pool : Shard.t option;  (** the worker pool when [domains > 1] *)
-  parallel_ingest : int;
-      (** worker domains for the parallel ingest lane; 1 = the
-          sequential batched path (the default, bit-identical) *)
-  mutable ingest_pool : Ingest_pool.t option;
-      (** the ingest worker pool when [parallel_ingest > 1] *)
-  parallel_export : int;
-      (** worker domains for the parallel export lane; 1 = the
-          sequential flush (the default, byte-identical on the wire) *)
+  lanes : int;
+      (** worker lanes of the sharded data plane, the ingest lane and the
+          export lane ({!Lanes}); 1 = the sequential paths (the default) *)
+  pool : Shard.t option;  (** the sharded data plane when [lanes > 1] *)
+  ingest_pool : Ingest_pool.t;
+      (** always present: with one lane it only counts the sequential
+          path's decode errors *)
   export_pool : Export_pool.t;
       (** the export lane pool — always present: the single-lane pool is
           the sequential flush path itself (encode-once wire cache and
@@ -224,23 +219,22 @@ val create :
   ?data:Data_enforcer.t ->
   ?flow_cache:bool ->
   ?ingest_batching:bool ->
-  ?domains:int ->
-  ?parallel_ingest:int ->
-  ?parallel_export:int ->
+  ?lanes:int ->
   ?seed:int ->
   ?gr_restart_time:int ->
   unit ->
   t
-(** [parallel_ingest > 1] requires [ingest_batching] (the lane feeds the
-    per-tick dirty queue; there is no parallel eager path).
-    [parallel_export] (>= 1) sizes the export lane pool. *)
+(** [lanes] (>= 1) sizes all three lane pools; more than one requires
+    the flow cache (the sharded data plane memoizes per flow) and
+    [ingest_batching] (the ingest lane feeds the per-tick dirty queue;
+    there is no parallel eager path). *)
 
 val shard_publish : t -> unit
 (** Publish a fresh control snapshot to the sharded data plane's worker
     pool when any state it captures has changed (enforcement chain,
     owner table, experiment stations, any neighbor FIB — tracked by a
     generation fingerprint). Called automatically at every tick flush
-    and before each sharded drain; a no-op on single-domain routers. *)
+    and before each sharded drain; a no-op on 1-lane routers. *)
 
 val name : t -> string
 val asn : t -> Asn.t

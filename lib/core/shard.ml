@@ -1,29 +1,26 @@
-(* The domain-sharded data plane (ROADMAP item 1): N worker domains, each
-   owning a domain-local per-neighbor flow cache and FIB destination
-   cache, forwarding against an immutable control-plane snapshot
-   published through an [Atomic].
+(* The domain-sharded data plane: N lanes ({!Lanes}), each owning a
+   lane-local per-neighbor flow cache and FIB destination cache,
+   forwarding against an immutable control-plane snapshot.
 
    Design in one paragraph: the control plane (which stays single-domain)
    publishes a {!snapshot} — per-neighbor persistent FIB tries, the
    experiment MAC table, and the enforcement chain split into a shared
-   stateless head and per-domain-replicated stateful tail — stamped with
-   a generation. Frames are dispatched to per-domain ingress queues by
-   hashing the flow key (source MAC, IPv4 source, IPv4 destination), so
-   every packet of a flow lands on the same domain and all per-flow
-   state — cached verdicts, shaper buckets keyed per flow — stays
-   single-writer. A drain spawns the workers, each of which reads the
-   current snapshot once, compares its generation against the one its
-   caches were built for, resets the domain-local caches on mismatch
-   (detection is one integer compare; no locks anywhere on the hot
-   path), and forwards its queue. Workers buffer externally-visible
-   effects (deliveries, ICMP, backbone sends) and count everything in
-   domain-local fields; after the join, {!consume} folds those into the
-   router's registry from the coordinating domain — the join provides
-   the happens-before edge, so no torn reads.
+   stateless head and per-lane-replicated stateful tail — stamped with
+   a generation. Frames are dispatched to per-lane queues by hashing the
+   flow key (source MAC, IPv4 source, IPv4 destination), so every packet
+   of a flow lands on the same lane and all per-flow state — cached
+   verdicts, shaper buckets keyed per flow — stays single-writer. A
+   drain first reconciles every lane with the snapshot generation
+   (resetting the lane-local caches on mismatch), then hands the
+   snapshot to the lanes as the run context; no locks anywhere on the
+   hot path. Workers buffer externally-visible effects (deliveries,
+   ICMP, backbone sends) and count everything in lane-local fields;
+   after the run, {!consume} folds those into the router's registry
+   from the coordinating domain.
 
    The worker fast path mirrors [Data_plane.forward_experiment_frame]
-   exactly — same verdicts, same per-filter accounting, same delivery
-   multiset, same shaper debits (per-flow keys + flow affinity make the
+   exactly — same verdicts, same per-filter accounting, same delivered
+   records, same shaper debits (per-flow keys + flow affinity make the
    debits bit-identical) — which the parallel-vs-sequential differential
    suite pins down. The one deliberate divergence: a flow entry carries a
    single snapshot generation instead of the sequential path's three
@@ -32,11 +29,11 @@
 
 open Netcore
 
-(* A flow cache never outgrows this per domain; on overflow the table
+(* A flow cache never outgrows this per lane; on overflow the table
    resets (same policy as the sequential cache). *)
 let flow_cache_capacity = 4096
 
-(* -- flow-to-domain placement ---------------------------------------------- *)
+(* -- flow-to-lane placement ------------------------------------------------ *)
 
 (* Deterministic hash of the flow key onto a domain index. Mixing uses
    two odd multiplicative constants; determinism matters (the
@@ -71,9 +68,9 @@ type snapshot = {
       (** experiment station MAC -> experiment name (ingress attribution) *)
   snap_head : Data_enforcer.filter array;
       (** shared stateless head, in chain order; workers never touch its
-          counters (per-domain arrays instead) *)
+          counters (per-lane arrays instead) *)
   snap_tail : Data_enforcer.filter array;
-      (** stateful tail originals; workers run per-domain replicas *)
+      (** stateful tail originals; workers run per-lane replicas *)
 }
 
 let empty_snapshot =
@@ -85,9 +82,9 @@ let empty_snapshot =
     snap_tail = [||];
   }
 
-(* -- per-domain state ------------------------------------------------------- *)
+(* -- per-lane state --------------------------------------------------------- *)
 
-(* Flow-cache key with mutable fields: each domain keeps one reusable
+(* Flow-cache key with mutable fields: each lane keeps one reusable
    probe record so cache hits allocate nothing for the lookup (the
    sequential path's tuple key allocates per frame). *)
 module Fkey = struct
@@ -129,12 +126,12 @@ type outcome =
       (** forward over the backbone toward the global IP *)
 
 type dom = {
-  mutable d_gen : int;  (** generation the domain caches were built for *)
+  mutable d_gen : int;  (** generation the lane caches were built for *)
   d_flows : (int, flow Ftbl.t) Hashtbl.t;  (** neighbor id -> flow cache *)
   d_dcaches : (int, Rib.Fib.entry Dcache.t) Hashtbl.t;
       (** neighbor id -> destination cache over the snapshot trie *)
   d_probe : Fkey.t;  (** reusable lookup key: no alloc per hit *)
-  mutable d_head_allowed : int array;  (** per-head-filter, this domain *)
+  mutable d_head_allowed : int array;  (** per-head-filter, this lane *)
   mutable d_head_blocked : int array;
   mutable d_tail : Data_enforcer.filter list;
       (** private tail replicas; persist across generations (shaper state
@@ -149,93 +146,31 @@ type dom = {
   mutable d_allowed : int;
   mutable d_blocked : int;
   (* Buffered effects, reversed (consed); drained on [consume]. *)
-  mutable d_deliv : (int * Ipv4_packet.View.t) list;
+  mutable d_deliv : (int * Ipv4_packet.t) list;
   mutable d_outcomes : outcome list;
   d_attr : (string, int ref * int ref) Hashtbl.t;
       (** experiment -> (packets, bytes) out, this drain *)
-  (* The domain's ingress queue, filled by [dispatch] between drains.
-     [d_qmax] is the high-water mark across the pool's lifetime — a
-     skewed flow hash shows up here (one domain's max far above the
-     others'), which is what makes speedup-floor failures diagnosable
-     from the bench JSON alone. *)
-  mutable d_q : Eth.t array;
-  mutable d_qlen : int;
-  mutable d_qmax : int;
 }
 
-(* Worker parking protocol: persistent domains sleep on [cond] between
-   drains instead of being respawned (a spawn/join cycle costs
-   milliseconds; a wake costs microseconds). All [w_state] transitions
-   happen under [lock], which doubles as the happens-before edge for the
-   plain per-domain fields: the coordinator's queue writes are visible
-   to a worker once it observes [W_work], and the worker's counter and
-   effect-buffer writes are visible to the coordinator once it observes
-   [W_done]. *)
-type wstate = W_idle | W_work of float | W_done | W_quit
-
+(* A lane forwards its queued frames against the snapshot and clock of
+   the drain. *)
 type t = {
-  domains : int;
-  current : snapshot Atomic.t;
-  doms : dom array;
-  lock : Mutex.t;
-  cond : Condition.t;
-  w_state : wstate array;  (** one slot per worker, [domains - 1] long *)
-  mutable handles : unit Domain.t array;  (** [ [||] ] = not spawned *)
+  lanes : (dom, Eth.t, snapshot * float) Lanes.t;
+  mutable current : snapshot;
 }
 
-let dummy_frame =
-  { Eth.dst = Mac.zero; src = Mac.zero; ethertype = Eth.Other 0; payload = "" }
-
-let make_dom _i =
-  {
-    d_gen = -1;
-    d_flows = Hashtbl.create 8;
-    d_dcaches = Hashtbl.create 8;
-    d_probe = { Fkey.k_mac = Mac.zero; k_src = Ipv4.any; k_dst = Ipv4.any };
-    d_head_allowed = [||];
-    d_head_blocked = [||];
-    d_tail = [];
-    d_hits = 0;
-    d_misses = 0;
-    d_to_neighbors = 0;
-    d_dropped = 0;
-    d_allowed = 0;
-    d_blocked = 0;
-    d_deliv = [];
-    d_outcomes = [];
-    d_attr = Hashtbl.create 4;
-    d_q = Array.make 256 dummy_frame;
-    d_qlen = 0;
-    d_qmax = 0;
-  }
-
-let create ~domains () =
-  if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
-  {
-    domains;
-    current = Atomic.make empty_snapshot;
-    doms = Array.init domains make_dom;
-    lock = Mutex.create ();
-    cond = Condition.create ();
-    w_state = Array.make (domains - 1) W_idle;
-    handles = [||];
-  }
-
-let domain_count t = t.domains
-let generation t = (Atomic.get t.current).snap_gen
-let queue_depth_max t = Array.map (fun d -> d.d_qmax) t.doms
+let generation t = t.current.snap_gen
+let queue_depth_max t = Lanes.depth_max t.lanes
 
 (* -- publication ------------------------------------------------------------ *)
 
 (* Publish a new snapshot. The tables must be freshly built (never
-   mutated after this call); the single [Atomic.set] is the linearization
-   point — a worker reads either the old snapshot or the new one, both
-   internally consistent. *)
+   mutated after this call); lanes only see it through the next drain's
+   run context. *)
 let publish t ~vmac ~exp_mac ~head ~tail =
-  let prev = Atomic.get t.current in
-  Atomic.set t.current
+  t.current <-
     {
-      snap_gen = prev.snap_gen + 1;
+      snap_gen = t.current.snap_gen + 1;
       snap_vmac = vmac;
       snap_exp_mac = exp_mac;
       snap_head = Array.of_list head;
@@ -244,40 +179,31 @@ let publish t ~vmac ~exp_mac ~head ~tail =
 
 (* -- dispatch --------------------------------------------------------------- *)
 
-let push d frame =
-  if d.d_qlen = Array.length d.d_q then begin
-    let bigger = Array.make (2 * Array.length d.d_q) dummy_frame in
-    Array.blit d.d_q 0 bigger 0 d.d_qlen;
-    d.d_q <- bigger
-  end;
-  d.d_q.(d.d_qlen) <- frame;
-  d.d_qlen <- d.d_qlen + 1;
-  if d.d_qlen > d.d_qmax then d.d_qmax <- d.d_qlen
-
-(* Queue one frame on its flow's home domain. The IPv4 addresses are read
+(* Queue one frame on its flow's home lane. The IPv4 addresses are read
    straight from the payload bytes (the full header validation happens on
-   the worker); a runt frame lands on domain 0, whose worker drops it the
+   the worker); a runt frame lands on lane 0, whose worker drops it the
    same way the sequential path would. *)
 let dispatch t (frame : Eth.t) =
+  let domains = Lanes.count t.lanes in
   let d =
-    if t.domains = 1 then 0
+    if domains = 1 then 0
     else if String.length frame.Eth.payload >= Ipv4_packet.header_size then
-      domain_of_flow ~domains:t.domains ~src_mac:frame.Eth.src
+      domain_of_flow ~domains ~src_mac:frame.Eth.src
         ~src:(Ipv4.of_int32 (String.get_int32_be frame.Eth.payload 12))
         ~dst:(Ipv4.of_int32 (String.get_int32_be frame.Eth.payload 16))
     else 0
   in
-  push t.doms.(d) frame
+  Lanes.push t.lanes d frame
 
-(* -- worker: cache maintenance ---------------------------------------------- *)
+(* -- lane cache maintenance ------------------------------------------------- *)
 
-(* Reconcile a domain with the snapshot generation: one integer compare
-   per drain on the hot path; on mismatch the domain-local caches reset
-   (flow memos and destination caches are derived from snapshot state),
-   the head counter arrays grow to match the chain (the chain is
-   append-only, so indices remain stable), and tail replicas are created
-   for any filters appended since ([Data_enforcer.replicate] — existing
-   replicas persist, carrying shaper state across control churn). *)
+(* Reconcile a lane with the snapshot generation: on mismatch the
+   lane-local caches reset (flow memos and destination caches are derived
+   from snapshot state), the head counter arrays grow to match the chain
+   (the chain is append-only, so indices remain stable), and tail
+   replicas are created for any filters appended since
+   ([Data_enforcer.replicate] — existing replicas persist, carrying
+   shaper state across control churn). *)
 let sync_caches d snap =
   if d.d_gen <> snap.snap_gen then begin
     Hashtbl.iter (fun _ tbl -> Ftbl.reset tbl) d.d_flows;
@@ -318,7 +244,7 @@ let dcache_of d nid =
       Hashtbl.replace d.d_dcaches nid c;
       c
 
-(* FIB lookup against the snapshot trie through the domain-local
+(* FIB lookup against the snapshot trie through the lane-local
    destination cache — the sharded analog of [Rib.Fib.lookup]. *)
 let fib_lookup d (ns : nsnap) addr =
   let c = dcache_of d ns.sn_id in
@@ -350,6 +276,16 @@ let attribute d exp bytes =
       incr packets;
       total := !total + bytes
 
+(* Hand a forwarded record to its egress: the backbone for a remote
+   neighbor, the delivery buffer otherwise. *)
+let egress d (ns : nsnap) (entry : Rib.Fib.entry) packet =
+  if ns.sn_alias then
+    d.d_outcomes <- O_backbone (entry.Rib.Fib.next_hop, packet) :: d.d_outcomes
+  else begin
+    d.d_to_neighbors <- d.d_to_neighbors + 1;
+    d.d_deliv <- (ns.sn_id, packet) :: d.d_deliv
+  end
+
 (* The record-path continuation for an allowed packet — the mirror of
    [Data_plane.forward_allowed_packet]: TTL, FIB lookup on the (possibly
    rewritten) destination, egress. ICMP generation and backbone sends
@@ -361,20 +297,36 @@ let forward_allowed d (ns : nsnap) (packet : Ipv4_packet.t) =
     let packet = Ipv4_packet.decrement_ttl packet in
     match fib_lookup d ns packet.Ipv4_packet.dst with
     | None -> d.d_dropped <- d.d_dropped + 1
-    | Some entry ->
-        if ns.sn_alias then
-          d.d_outcomes <-
-            O_backbone (entry.Rib.Fib.next_hop, packet) :: d.d_outcomes
-        else begin
-          d.d_to_neighbors <- d.d_to_neighbors + 1;
-          d.d_deliv <- (ns.sn_id, Ipv4_packet.View.of_packet packet) :: d.d_deliv
-        end
+    | Some entry -> egress d ns entry packet
   end
+
+(* The lane's replicas of the stateful tail on one cache-hit packet — the
+   mirror of [Data_enforcer.check_tail]: a record is built only when a
+   tail exists, and a pass hands that record on. *)
+let check_tail d ~now ~ingress view =
+  match d.d_tail with
+  | [] -> Data_enforcer.Tail_pass None
+  | tail -> (
+      let packet = Ipv4_packet.View.to_packet view in
+      match
+        Data_enforcer.run_replica_chain ~now
+          ~meta:{ Data_enforcer.ingress }
+          packet tail
+      with
+      | Data_enforcer.Allowed p when p == packet ->
+          Data_enforcer.Tail_pass (Some packet)
+      | Data_enforcer.Allowed p -> Data_enforcer.Tail_rewritten p
+      | Data_enforcer.Blocked reason -> Data_enforcer.Tail_blocked reason)
+
+let hit_packet view = function
+  | Some packet -> packet
+  | None -> Ipv4_packet.View.to_packet view
 
 (* Serve one frame from a memoized flow decision — the mirror of
    [Data_plane.execute_cached], with shared-head accounting in the
-   per-domain arrays and the stateful tail run on this domain's
-   replicas. *)
+   per-lane arrays and the stateful tail run on this lane's replicas.
+   The frame becomes a record at most once: the one the tail built, or
+   else one read out of the wire bytes where it leaves. *)
 let execute_cached d snap ~now (ns : nsnap) view (fl : flow) =
   match fl.fl_action with
   | Sblock (i, _reason) ->
@@ -390,70 +342,32 @@ let execute_cached d snap ~now (ns : nsnap) view (fl : flow) =
       for j = 0 to Array.length snap.snap_head - 1 do
         d.d_head_allowed.(j) <- d.d_head_allowed.(j) + 1
       done;
-      match d.d_tail with
-      | [] -> (
+      match check_tail d ~now ~ingress:fl.fl_ingress view with
+      | Data_enforcer.Tail_blocked _ ->
+          d.d_blocked <- d.d_blocked + 1;
+          d.d_dropped <- d.d_dropped + 1
+      | Data_enforcer.Tail_rewritten p ->
+          (* The destination may have changed: back to the record path,
+             FIB lookup redone on the rewrite. *)
+          d.d_allowed <- d.d_allowed + 1;
+          attribute d fl.fl_exp
+            (Ipv4_packet.header_size + String.length p.Ipv4_packet.payload);
+          forward_allowed d ns p
+      | Data_enforcer.Tail_pass tailed -> (
           d.d_allowed <- d.d_allowed + 1;
           attribute d fl.fl_exp (Ipv4_packet.View.total_length view);
           if Ipv4_packet.View.ttl view <= 1 then
-            d.d_outcomes <-
-              O_icmp (Ipv4_packet.View.to_packet view) :: d.d_outcomes
-          else begin
-            Ipv4_packet.View.decrement_ttl view;
+            d.d_outcomes <- O_icmp (hit_packet view tailed) :: d.d_outcomes
+          else
             match action with
             | Sforward entry ->
-                if ns.sn_alias then
-                  d.d_outcomes <-
-                    O_backbone
-                      (entry.Rib.Fib.next_hop, Ipv4_packet.View.to_packet view)
-                    :: d.d_outcomes
-                else begin
-                  d.d_to_neighbors <- d.d_to_neighbors + 1;
-                  d.d_deliv <- (ns.sn_id, view) :: d.d_deliv
-                end
+                egress d ns entry
+                  (Ipv4_packet.decrement_ttl (hit_packet view tailed))
             | Snofib -> d.d_dropped <- d.d_dropped + 1
-            | Sblock _ -> assert false
-          end)
-      | tail -> (
-          let packet = Ipv4_packet.View.to_packet view in
-          let meta = { Data_enforcer.ingress = fl.fl_ingress } in
-          match Data_enforcer.run_replica_chain ~now ~meta packet tail with
-          | Data_enforcer.Blocked _ ->
-              d.d_blocked <- d.d_blocked + 1;
-              d.d_dropped <- d.d_dropped + 1
-          | Data_enforcer.Allowed p when p == packet -> (
-              (* Tail pass: forward the view in place. *)
-              d.d_allowed <- d.d_allowed + 1;
-              attribute d fl.fl_exp (Ipv4_packet.View.total_length view);
-              if Ipv4_packet.View.ttl view <= 1 then
-                d.d_outcomes <-
-                  O_icmp (Ipv4_packet.View.to_packet view) :: d.d_outcomes
-              else begin
-                Ipv4_packet.View.decrement_ttl view;
-                match action with
-                | Sforward entry ->
-                    if ns.sn_alias then
-                      d.d_outcomes <-
-                        O_backbone
-                          ( entry.Rib.Fib.next_hop,
-                            Ipv4_packet.View.to_packet view )
-                        :: d.d_outcomes
-                    else begin
-                      d.d_to_neighbors <- d.d_to_neighbors + 1;
-                      d.d_deliv <- (ns.sn_id, view) :: d.d_deliv
-                    end
-                | Snofib -> d.d_dropped <- d.d_dropped + 1
-                | Sblock _ -> assert false
-              end)
-          | Data_enforcer.Allowed p ->
-              (* Tail rewrite: the destination may have changed; back to
-                 the record path, FIB lookup redone on the rewrite. *)
-              d.d_allowed <- d.d_allowed + 1;
-              attribute d fl.fl_exp
-                (Ipv4_packet.header_size + String.length p.Ipv4_packet.payload);
-              forward_allowed d ns p))
+            | Sblock _ -> assert false))
 
 (* Full resolution on a cache miss — the mirror of
-   [Data_plane.resolve_and_forward]: walk the shared head with per-domain
+   [Data_plane.resolve_and_forward]: walk the shared head with per-lane
    accounting, classify cacheability, memoize, run the tail replicas,
    forward. *)
 let resolve d snap ~now (ns : nsnap) ~src_mac ~sender view =
@@ -539,9 +453,9 @@ let resolve d snap ~now (ns : nsnap) ~src_mac ~sender view =
         (Ipv4_packet.header_size + String.length packet.Ipv4_packet.payload);
       forward_allowed d ns packet
 
-(* One frame, on its home domain — the mirror of
+(* One frame, on its home lane — the mirror of
    [Data_plane.forward_experiment_frame]'s cached path. *)
-let forward_frame d snap ~now (frame : Eth.t) =
+let forward_frame (snap, now) d (frame : Eth.t) =
   match Hashtbl.find_opt snap.snap_vmac frame.Eth.dst with
   | None -> d.d_dropped <- d.d_dropped + 1
   | Some ns -> (
@@ -562,99 +476,58 @@ let forward_frame d snap ~now (frame : Eth.t) =
               let sender = Hashtbl.find_opt snap.snap_exp_mac frame.Eth.src in
               resolve d snap ~now ns ~src_mac:frame.Eth.src ~sender view))
 
-(* -- drain ------------------------------------------------------------------- *)
+(* -- the pool ---------------------------------------------------------------- *)
 
-let worker t d ~now =
-  let snap = Atomic.get t.current in
-  sync_caches d snap;
-  for i = 0 to d.d_qlen - 1 do
-    forward_frame d snap ~now d.d_q.(i)
-  done;
-  (* Drop frame references so the queue doesn't pin payloads alive. *)
-  Array.fill d.d_q 0 d.d_qlen dummy_frame;
-  d.d_qlen <- 0
+let make_dom _i =
+  {
+    d_gen = -1;
+    d_flows = Hashtbl.create 8;
+    d_dcaches = Hashtbl.create 8;
+    d_probe = { Fkey.k_mac = Mac.zero; k_src = Ipv4.any; k_dst = Ipv4.any };
+    d_head_allowed = [||];
+    d_head_blocked = [||];
+    d_tail = [];
+    d_hits = 0;
+    d_misses = 0;
+    d_to_neighbors = 0;
+    d_dropped = 0;
+    d_allowed = 0;
+    d_blocked = 0;
+    d_deliv = [];
+    d_outcomes = [];
+    d_attr = Hashtbl.create 4;
+  }
 
-(* The persistent worker body: park on the condition until the
-   coordinator posts [W_work now], drain the owned queue outside the
-   lock (workers run genuinely in parallel), post [W_done], park again.
-   [W_quit] exits the loop (see [shutdown]). *)
-let worker_loop t i =
-  let d = t.doms.(i + 1) in
-  Mutex.lock t.lock;
-  let rec loop () =
-    match t.w_state.(i) with
-    | W_idle | W_done ->
-        Condition.wait t.cond t.lock;
-        loop ()
-    | W_quit -> Mutex.unlock t.lock
-    | W_work now ->
-        Mutex.unlock t.lock;
-        worker t d ~now;
-        Mutex.lock t.lock;
-        t.w_state.(i) <- W_done;
-        Condition.broadcast t.cond;
-        loop ()
-  in
-  loop ()
+let dummy_frame =
+  { Eth.dst = Mac.zero; src = Mac.zero; ethertype = Eth.Other 0; payload = "" }
 
-(* Forward everything queued: wake the parked workers (spawning them on
-   the first multi-domain drain), run domain 0 on the coordinator, then
-   wait for every worker to post done. The control plane is quiesced
-   for the duration of the drain (workers run concurrently with each
-   other, never with control mutation); with a single domain everything
-   runs inline and no domain is ever spawned. *)
+let create ~lanes () =
+  {
+    lanes =
+      Lanes.create ~lanes ~dummy:dummy_frame ~init:make_dom
+        ~work:forward_frame;
+    current = empty_snapshot;
+  }
+
+(* Forward everything queued. The control plane is quiesced for the
+   duration of the drain, so the lanes' caches are reconciled with the
+   snapshot here on the coordinator before they run. *)
 let drain t ~now =
-  if t.domains = 1 then worker t t.doms.(0) ~now
-  else begin
-    if Array.length t.handles = 0 then
-      t.handles <-
-        Array.init (t.domains - 1) (fun i ->
-            Domain.spawn (fun () -> worker_loop t i));
-    Mutex.lock t.lock;
-    for i = 0 to t.domains - 2 do
-      t.w_state.(i) <- W_work now
-    done;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    worker t t.doms.(0) ~now;
-    Mutex.lock t.lock;
-    for i = 0 to t.domains - 2 do
-      while t.w_state.(i) <> W_done do
-        Condition.wait t.cond t.lock
-      done;
-      t.w_state.(i) <- W_idle
-    done;
-    Mutex.unlock t.lock
-  end
+  let snap = t.current in
+  Lanes.iter (fun d -> sync_caches d snap) t.lanes;
+  Lanes.run t.lanes (snap, now)
 
-(* Release the worker domains (they park, never busy-wait, but each
-   live domain counts against the runtime's domain limit). Safe to call
-   on any pool, including never-spawned and sequential ones; the next
-   multi-domain [drain] respawns workers transparently — all sharding
-   state (caches, queues, counters) lives in [doms] and survives. *)
-let shutdown t =
-  if Array.length t.handles > 0 then begin
-    Mutex.lock t.lock;
-    Array.iteri (fun i _ -> t.w_state.(i) <- W_quit) t.w_state;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    Array.iter Domain.join t.handles;
-    t.handles <- [||];
-    Array.iteri (fun i _ -> t.w_state.(i) <- W_idle) t.w_state
-  end
+let shutdown t = Lanes.shutdown t.lanes
 
 (* -- aggregation ------------------------------------------------------------- *)
 
 (* Fold the drain's buffered effects and counters into the caller's
-   sinks, in domain-index order (deliveries within a domain stay in
-   forwarding order — per-flow order is preserved end to end). Runs on
-   the coordinator after [drain] has observed every worker's [W_done]
-   under the lock, which establishes the happens-before edge making the
-   plain per-domain fields safe to read. *)
+   sinks, in lane order (deliveries within a lane stay in forwarding
+   order — per-flow order is preserved end to end). *)
 let consume t ~deliver ~outcome ~attribute ~counters =
   let hits = ref 0 and misses = ref 0 in
   let to_neighbors = ref 0 and dropped = ref 0 in
-  Array.iter
+  Lanes.iter
     (fun d ->
       hits := !hits + d.d_hits;
       d.d_hits <- 0;
@@ -664,7 +537,7 @@ let consume t ~deliver ~outcome ~attribute ~counters =
       d.d_to_neighbors <- 0;
       dropped := !dropped + d.d_dropped;
       d.d_dropped <- 0;
-      List.iter (fun (nid, view) -> deliver nid view) (List.rev d.d_deliv);
+      List.iter (fun (nid, packet) -> deliver nid packet) (List.rev d.d_deliv);
       d.d_deliv <- [];
       List.iter outcome (List.rev d.d_outcomes);
       d.d_outcomes <- [];
@@ -672,55 +545,53 @@ let consume t ~deliver ~outcome ~attribute ~counters =
         (fun name (packets, bytes) -> attribute name ~packets:!packets ~bytes:!bytes)
         d.d_attr;
       Hashtbl.reset d.d_attr)
-    t.doms;
+    t.lanes;
   counters ~hits:!hits ~misses:!misses ~to_neighbors:!to_neighbors
     ~dropped:!dropped
 
 (* -- enforcer aggregation (tests, diagnostics) ------------------------------- *)
 
-(* Chain-global (allowed, blocked) summed across domains — the sharded
+(* Chain-global (allowed, blocked) summed across lanes — the sharded
    analog of [Data_enforcer.stats]. Call between drains. *)
 let enforcer_stats t =
-  Array.fold_left
-    (fun (a, b) d -> (a + d.d_allowed, b + d.d_blocked))
-    (0, 0) t.doms
+  Lanes.fold (fun (a, b) d -> (a + d.d_allowed, b + d.d_blocked)) (0, 0) t.lanes
 
 (* Per-filter (name, allowed, blocked) in chain order, summed across
-   domains — the sharded analog of [Data_enforcer.filter_stats]. Head
-   counts come from the per-domain arrays, tail counts from the replicas
+   lanes — the sharded analog of [Data_enforcer.filter_stats]. Head
+   counts come from the per-lane arrays, tail counts from the replicas
    (positions align because the chain is append-only). *)
 let filter_stats t =
-  let snap = Atomic.get t.current in
+  let sum f =
+    Lanes.fold
+      (fun (a, b) d ->
+        let x, y = f d in
+        (a + x, b + y))
+      (0, 0) t.lanes
+  in
   let head =
     Array.to_list
       (Array.mapi
          (fun i f ->
-           let a = ref 0 and b = ref 0 in
-           Array.iter
-             (fun d ->
-               if i < Array.length d.d_head_allowed then begin
-                 a := !a + d.d_head_allowed.(i);
-                 b := !b + d.d_head_blocked.(i)
-               end)
-             t.doms;
-           (Data_enforcer.filter_name f, !a, !b))
-         snap.snap_head)
+           let a, b =
+             sum (fun d ->
+                 if i < Array.length d.d_head_allowed then
+                   (d.d_head_allowed.(i), d.d_head_blocked.(i))
+                 else (0, 0))
+           in
+           (Data_enforcer.filter_name f, a, b))
+         t.current.snap_head)
   in
   let tail =
     Array.to_list
       (Array.mapi
          (fun j f ->
-           let a = ref 0 and b = ref 0 in
-           Array.iter
-             (fun d ->
-               match List.nth_opt d.d_tail j with
-               | Some replica ->
-                   let fa, fb = Data_enforcer.filter_counts replica in
-                   a := !a + fa;
-                   b := !b + fb
-               | None -> ())
-             t.doms;
-           (Data_enforcer.filter_name f, !a, !b))
-         snap.snap_tail)
+           let a, b =
+             sum (fun d ->
+                 match List.nth_opt d.d_tail j with
+                 | Some replica -> Data_enforcer.filter_counts replica
+                 | None -> (0, 0))
+           in
+           (Data_enforcer.filter_name f, a, b))
+         t.current.snap_tail)
   in
   head @ tail

@@ -1,23 +1,19 @@
-(** The domain-sharded data plane: N OCaml 5 worker domains, each owning
-    a domain-local per-neighbor flow cache and FIB destination cache,
-    forwarding against an immutable generation-stamped control snapshot
-    published through an [Atomic].
+(** The domain-sharded data plane: N lanes ({!Lanes}), each owning a
+    lane-local per-neighbor flow cache and FIB destination cache,
+    forwarding against an immutable generation-stamped control snapshot.
 
     Protocol: the (single-domain) control plane {!publish}es a snapshot
-    whenever its state changes; frames are {!dispatch}ed to per-domain
-    ingress queues by hashing the flow key (source MAC, IPv4 source and
-    destination) so every packet of a flow lands on the same domain —
+    whenever its state changes; frames are {!dispatch}ed to per-lane
+    queues by hashing the flow key (source MAC, IPv4 source and
+    destination) so every packet of a flow lands on the same lane —
     keeping memoized verdicts and per-flow shaper buckets single-writer;
-    {!drain} wakes the persistent parked workers (each detects a stale
-    generation with one integer compare and refreshes its caches
-    lock-free); {!consume} folds buffered effects and per-domain
-    counters into the caller's sinks after the drain's done-handshake
-    (which provides the happens-before edge). The control plane must be
-    quiesced during a drain; workers only ever run concurrently with
-    each other.
+    {!drain} reconciles each lane's caches with the snapshot generation
+    and runs the lanes; {!consume} folds buffered effects and per-lane
+    counters into the caller's sinks. The control plane must be quiesced
+    during a drain; workers only ever run concurrently with each other.
 
     The worker fast path mirrors {!Data_plane.forward_experiment_frame}
-    exactly (verdicts, per-filter accounting, delivery multisets, shaper
+    exactly (verdicts, per-filter accounting, delivered records, shaper
     debits); the parallel-vs-sequential differential suite pins the
     equivalence. Flow entries carry one snapshot generation instead of
     the sequential path's three stamps, so invalidation is coarser and
@@ -47,20 +43,18 @@ type outcome =
 
 type t
 
-val create : domains:int -> unit -> t
-(** A worker pool of [domains] domains (>= 1). No domain is spawned until
-    a multi-domain {!drain}; a 1-domain pool runs everything inline. *)
-
-val domain_count : t -> int
+val create : lanes:int -> unit -> t
+(** A pool of [lanes] lanes (>= 1). No domain is spawned until a
+    multi-lane {!drain}; a 1-lane pool runs everything inline. *)
 
 val generation : t -> int
 (** The current snapshot's generation (0 before the first publish). *)
 
 val queue_depth_max : t -> int array
-(** Per-domain ingress queue high-water mark over the pool's lifetime
-    (index 0 = coordinator domain). A skewed flow hash shows up as one
-    domain's max far above the others' — recorded in the fwd-par bench
-    so speedup-floor failures are diagnosable from the JSON alone. *)
+(** Per-lane queue high-water mark over the pool's lifetime (index 0 =
+    coordinator lane). A skewed flow hash shows up as one lane's max far
+    above the others' — recorded in the fwd-par bench so speedup-floor
+    failures are diagnosable from the JSON alone. *)
 
 val publish :
   t ->
@@ -71,47 +65,45 @@ val publish :
   unit
 (** Publish a new control snapshot (generation = previous + 1). The
     tables must be freshly built for this call and never mutated after;
-    the single [Atomic.set] is the linearization point. [head] filters
-    are shared read-only across domains (workers account them in
-    per-domain arrays); [tail] filters are replicated per domain on first
-    sight ({!Data_enforcer.replicate}) and the replicas persist across
+    lanes see the snapshot from the next {!drain} on. [head] filters
+    are shared read-only across lanes (workers account them in per-lane
+    arrays); [tail] filters are replicated per lane on first sight
+    ({!Data_enforcer.replicate}) and the replicas persist across
     generations, so stateful filters keep their state through control
     churn. *)
 
 val dispatch : t -> Eth.t -> unit
-(** Queue one frame on its flow's home domain (runs on the coordinator,
+(** Queue one frame on its flow's home lane (runs on the coordinator,
     between drains). *)
 
 val drain : t -> now:float -> unit
-(** Forward everything queued: one worker per domain (the coordinator
-    runs domain 0; the rest are persistent domains parked on a condition
-    between drains, spawned lazily at the first multi-domain drain). The
-    control plane must not mutate router state during the call. *)
+(** Forward everything queued ({!Lanes.run}). The control plane must not
+    mutate router state during the call. *)
 
 val shutdown : t -> unit
-(** Join the pool's worker domains (each live domain counts against the
-    runtime's domain limit, so callers churning many sharded routers
-    should release them). Idempotent; sharding state survives, and the
-    next multi-domain {!drain} respawns workers transparently. *)
+(** Join the pool's worker domains ({!Lanes.shutdown}). Idempotent;
+    sharding state survives, and the next multi-lane {!drain} respawns
+    workers transparently. *)
 
 val consume :
   t ->
-  deliver:(int -> Ipv4_packet.View.t -> unit) ->
+  deliver:(int -> Ipv4_packet.t -> unit) ->
   outcome:(outcome -> unit) ->
   attribute:(string -> packets:int -> bytes:int -> unit) ->
   counters:
     (hits:int -> misses:int -> to_neighbors:int -> dropped:int -> unit) ->
   unit
 (** Fold the drain's buffered effects and counters into the caller's
-    sinks and clear them: deliveries ([deliver neighbor_id view]) and
-    outcomes in per-domain forwarding order, per-experiment attribution
-    totals, then one [counters] call with the drain's flow-cache and
-    forwarding tallies. Call after {!drain} returns. *)
+    sinks and clear them: deliveries ([deliver neighbor_id packet], the
+    record built on the lane) and outcomes in per-lane forwarding order,
+    per-experiment attribution totals, then one [counters] call with the
+    drain's flow-cache and forwarding tallies. Call after {!drain}
+    returns. *)
 
 (** {1 Enforcer aggregation}
 
     Sharded analogs of {!Data_enforcer.stats}/[filter_stats], summed
-    across domains (shared-head counter arrays + tail replica counters).
+    across lanes (shared-head counter arrays + tail replica counters).
     Call between drains. *)
 
 val enforcer_stats : t -> int * int

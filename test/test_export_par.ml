@@ -1,6 +1,6 @@
 (* Differential and regression tests for the parallel export lane.
-   A router created with [?parallel_export:4] hash-partitions the
-   dirty-prefix flush across worker domains — each lane owns its
+   A router created with [?lanes:4] hash-partitions the
+   dirty-prefix flush across worker lanes — each lane owns its
    neighbors' export-control filtering, Adj-RIB-Out delta, multi-NLRI
    packing, and wire encoding — and replays the staged, fully encoded
    messages on the single writer. That path must be byte-identical to
@@ -12,8 +12,8 @@
    delivered), with and without graceful restart in play. Alongside it:
    a directed GR End-of-RIB sweep whose withdrawals ride the lanes, a
    mid-churn neighbor kill as a fixed differential script, the
-   encode-once wire-cache accounting, the neighbor hash spread, the
-   [Control_out.chunked] regression, and create-time validation. *)
+   encode-once wire-cache accounting, the flush's neighbor placement,
+   the [Control_out.chunked] regression, and create-time validation. *)
 
 open Netcore
 open Bgp
@@ -60,7 +60,7 @@ type fixture = {
   announces : int ref;
 }
 
-let make_fixture ?(gr_restart_time = 0) ~parallel_export () =
+let make_fixture ?(gr_restart_time = 0) ~lanes () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -68,7 +68,7 @@ let make_fixture ?(gr_restart_time = 0) ~parallel_export () =
   let router =
     Router.create ~engine ~name:"par-export" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~parallel_export
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes
       ~gr_restart_time ()
   in
   Router.activate router;
@@ -266,8 +266,8 @@ let ops_arb =
 
 (* Run one ops sequence to convergence; returns the fingerprint and the
    staged-send residual (which must be zero once the flush has run). *)
-let run_ops ~parallel_export ~gr ops =
-  let fx = make_fixture ~gr_restart_time:gr ~parallel_export () in
+let run_ops ~lanes ~gr ops =
+  let fx = make_fixture ~gr_restart_time:gr ~lanes () in
   List.iter (apply fx) ops;
   let fp = fingerprint fx in
   let residual = (Router.export_stats fx.router).Router.staged_residual in
@@ -276,8 +276,8 @@ let run_ops ~parallel_export ~gr ops =
 
 let differential ~name ~gr =
   QCheck.Test.make ~name ~count:12 ops_arb (fun ops ->
-      let fp_par, residual = run_ops ~parallel_export:4 ~gr ops in
-      let fp_seq, _ = run_ops ~parallel_export:1 ~gr ops in
+      let fp_par, residual = run_ops ~lanes:4 ~gr ops in
+      let fp_seq, _ = run_ops ~lanes:1 ~gr ops in
       residual = 0 && String.equal fp_par fp_seq)
 
 let prop_differential =
@@ -295,7 +295,7 @@ let prop_differential_gr =
    lanes like any other delta: retained prefixes generate zero churn, the
    missing prefix exactly one withdrawal per neighbor. *)
 let test_par_gr_eor () =
-  let fx = make_fixture ~gr_restart_time:120 ~parallel_export:4 () in
+  let fx = make_fixture ~gr_restart_time:120 ~lanes:4 () in
   let ann p = apply fx (Announce (p, 0)) in
   ann 0;
   ann 1;
@@ -346,8 +346,8 @@ let test_par_kill_mid_churn () =
     @ [ Tick; Withdraw 1; Withdraw 3; Tick; Flap 5 ]
     @ wave 2 @ [ Tick ]
   in
-  let fp_par, residual = run_ops ~parallel_export:4 ~gr:0 script in
-  let fp_seq, _ = run_ops ~parallel_export:1 ~gr:0 script in
+  let fp_par, residual = run_ops ~lanes:4 ~gr:0 script in
+  let fp_seq, _ = run_ops ~lanes:1 ~gr:0 script in
   checki "staged sends all replayed" 0 residual;
   checks "kill mid-churn converges byte-identically" fp_seq fp_par
 
@@ -358,8 +358,8 @@ let test_par_kill_mid_churn () =
    attribute block: 1 miss, 5 hits — whatever the lane count, because
    hit/miss accounting deduplicates blocks across lanes. A second flush
    with a different MED encodes one fresh block. *)
-let wire_cache_counts ~parallel_export () =
-  let fx = make_fixture ~parallel_export () in
+let wire_cache_counts ~lanes () =
+  let fx = make_fixture ~lanes () in
   let announce v =
     ignore
       (Router.process_experiment_update fx.router ~experiment:"par-exp"
@@ -381,51 +381,63 @@ let wire_cache_counts ~parallel_export () =
     s2.Router.wire_cache_hits;
   checkb "wire bytes accounted" true (s2.Router.wire_bytes_out > 0);
   checki "staged sends all replayed" 0 s2.Router.staged_residual;
-  checki "one depth slot per lane" parallel_export
+  checki "one depth slot per lane" lanes
     (Array.length s2.Router.lane_depth_max);
   Router.shutdown_domains fx.router
 
-let test_wire_cache_seq () = wire_cache_counts ~parallel_export:1 ()
-let test_wire_cache_par () = wire_cache_counts ~parallel_export:4 ()
+let test_wire_cache_seq () = wire_cache_counts ~lanes:1 ()
+let test_wire_cache_par () = wire_cache_counts ~lanes:4 ()
 
 (* -- partitioning and plumbing --------------------------------------------- *)
 
+(* A flush queues each neighbor on its [Lanes.of_neighbor] lane: the
+   per-lane target-queue depths are exactly the hash's placement of the
+   six neighbor ids. *)
 let test_domain_spread () =
-  let workers = 4 in
-  let counts = Array.make workers 0 in
-  for nid = 0 to 255 do
-    let d = Export_pool.domain_of_neighbor ~workers nid in
-    checkb "lane in range" true (d >= 0 && d < workers);
-    counts.(d) <- counts.(d) + 1
-  done;
+  let lanes = 4 in
+  let fx = make_fixture ~lanes () in
+  ignore
+    (Router.process_experiment_update fx.router ~experiment:"par-exp"
+       (Msg.update ~attrs:(attr_variant fx 0)
+          ~announced:[ Msg.nlri (op_prefix 0) ]
+          ()));
+  Router.flush_reexports fx.router;
+  let placed = Array.make lanes 0 in
   Array.iter
-    (fun c -> checkb "no starved lane" true (c >= 256 / workers / 4))
-    counts;
-  for nid = 0 to 31 do
-    checki "single lane folds everything to 0" 0
-      (Export_pool.domain_of_neighbor ~workers:1 nid);
-    checki "ingest and export lanes agree on the mix"
-      (Ingest_pool.domain_of_neighbor ~workers:4 nid)
-      (Export_pool.domain_of_neighbor ~workers:4 nid)
-  done
+    (fun nid ->
+      let l = Lanes.of_neighbor ~lanes nid in
+      placed.(l) <- placed.(l) + 1)
+    fx.neighbor_ids;
+  Alcotest.(check (array int))
+    "lane depths follow the neighbor hash" placed
+    (Router.export_stats fx.router).Router.lane_depth_max;
+  checkb "more than one lane used" true
+    (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 placed > 1);
+  Router.shutdown_domains fx.router
 
+(* Lane-count validation lives in [Router.create]; the export-specific
+   part is the flow-cache requirement of a multi-lane router. *)
 let test_create_validation () =
   let engine = Sim.Engine.create () in
-  let mk parallel_export () =
+  let mk ?(flow_cache = true) lanes () =
     Router.create ~engine ~name:"v" ~asn:(asn 1) ~router_id:(ip "10.0.0.1")
       ~primary_ip:(ip "10.0.0.1") ~local_pool:(pfx "127.66.0.0/16")
       ~global_pool:
         (Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f)
-      ~parallel_export ()
+      ~flow_cache ~lanes ()
   in
-  checkb "parallel_export 0 rejected" true
+  checkb "lanes 0 rejected" true
     (try
        ignore (mk 0 ());
        false
      with Invalid_argument _ -> true);
-  let r = mk 1 () in
-  checki "parallel_export 1 is the sequential flush" 1
-    (Router.parallel_export r)
+  checkb "several lanes require the flow cache" true
+    (try
+       ignore (mk ~flow_cache:false 2 ());
+       false
+     with Invalid_argument _ -> true);
+  let r = mk ~flow_cache:false 1 () in
+  checki "one lane is the sequential flush" 1 (Router.lanes r)
 
 (* -- the chunked regression ------------------------------------------------ *)
 

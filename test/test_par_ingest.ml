@@ -1,6 +1,6 @@
 (* Differential and regression tests for the parallel ingest lane.
-   A router created with [?parallel_ingest:4] hash-partitions wire-format
-   UPDATE batches across worker domains — each worker owns its neighbors'
+   A router created with [?lanes:4] hash-partitions wire-format
+   UPDATE batches across worker lanes — each lane owns its neighbors'
    decode, attribute intern and Adj-RIB-In writes — and reconciles the
    staged deltas into the FIB + dirty queue on the single writer. That
    path must be bit-identical to the sequential batched path: a QCheck
@@ -50,7 +50,7 @@ type fixture = {
   withdrawn_seen : int ref;
 }
 
-let make_fixture ?(gr_restart_time = 0) ~parallel_ingest () =
+let make_fixture ?(gr_restart_time = 0) ~lanes () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -58,7 +58,7 @@ let make_fixture ?(gr_restart_time = 0) ~parallel_ingest () =
   let router =
     Router.create ~engine ~name:"par-ingest" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~parallel_ingest
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes
       ~gr_restart_time ()
   in
   Router.activate router;
@@ -280,8 +280,8 @@ let ops_arb =
 
 (* Run one ops sequence to convergence; returns the fingerprint and the
    staging residual (which must be zero once the final drain has run). *)
-let run_ops ~parallel_ingest ~gr ops =
-  let fx = make_fixture ~gr_restart_time:gr ~parallel_ingest () in
+let run_ops ~lanes ~gr ops =
+  let fx = make_fixture ~gr_restart_time:gr ~lanes () in
   List.iter (apply fx) ops;
   apply fx Drain;
   let fp = fingerprint fx in
@@ -291,8 +291,8 @@ let run_ops ~parallel_ingest ~gr ops =
 
 let differential ~name ~gr =
   QCheck.Test.make ~name ~count:12 ops_arb (fun ops ->
-      let fp_par, residual = run_ops ~parallel_ingest:4 ~gr ops in
-      let fp_seq, _ = run_ops ~parallel_ingest:1 ~gr ops in
+      let fp_par, residual = run_ops ~lanes:4 ~gr ops in
+      let fp_seq, _ = run_ops ~lanes:1 ~gr ops in
       residual = 0 && String.equal fp_par fp_seq)
 
 let prop_differential =
@@ -310,7 +310,7 @@ let prop_differential_gr =
    coordinator-side sweep must agree: retained routes generate zero churn
    toward the experiment, the missing route exactly one withdrawal. *)
 let test_par_gr_eor () =
-  let fx = make_fixture ~gr_restart_time:120 ~parallel_ingest:4 () in
+  let fx = make_fixture ~gr_restart_time:120 ~lanes:4 () in
   let nbr = 0 in
   let ann p =
     ( fx.neighbor_ids.(nbr),
@@ -373,55 +373,97 @@ let test_par_kill_mid_churn () =
     wave 0 @ [ Drain; Tick; Flap 2; Tick ] @ wave 1
     @ [ Drain; Tick; Withdraw (2, 1); Withdraw (4, 3); Drain; Tick ]
   in
-  let fp_par, residual = run_ops ~parallel_ingest:4 ~gr:0 script in
-  let fp_seq, _ = run_ops ~parallel_ingest:1 ~gr:0 script in
+  let fp_par, residual = run_ops ~lanes:4 ~gr:0 script in
+  let fp_seq, _ = run_ops ~lanes:1 ~gr:0 script in
   checki "staging queues drained" 0 residual;
   checks "kill mid-churn converges identically" fp_seq fp_par
 
 (* -- partitioning and plumbing --------------------------------------------- *)
 
 let test_domain_spread () =
-  let workers = 4 in
-  let counts = Array.make workers 0 in
+  let lanes = 4 in
+  let counts = Array.make lanes 0 in
   for nid = 0 to 255 do
-    let d = Ingest_pool.domain_of_neighbor ~workers nid in
-    checkb "lane in range" true (d >= 0 && d < workers);
+    let d = Lanes.of_neighbor ~lanes nid in
+    checkb "lane in range" true (d >= 0 && d < lanes);
     counts.(d) <- counts.(d) + 1
   done;
   (* The mix must spread dense small ids: no lane may own less than a
      quarter of its fair share of 256 consecutive neighbors. *)
   Array.iter
-    (fun c -> checkb "no starved lane" true (c >= 256 / workers / 4))
+    (fun c -> checkb "no starved lane" true (c >= 256 / lanes / 4))
     counts;
   for nid = 0 to 31 do
     checki "single lane folds everything to 0" 0
-      (Ingest_pool.domain_of_neighbor ~workers:1 nid)
+      (Lanes.of_neighbor ~lanes:1 nid)
   done
 
+(* Lane-count validation lives in [Router.create]; the ingest-specific
+   part is the batching requirement of a multi-lane router. *)
 let test_create_validation () =
   let engine = Sim.Engine.create () in
-  let mk ?(ingest_batching = true) parallel_ingest () =
+  let mk ?(ingest_batching = true) lanes () =
     Router.create ~engine ~name:"v" ~asn:(asn 1) ~router_id:(ip "10.0.0.1")
       ~primary_ip:(ip "10.0.0.1") ~local_pool:(pfx "127.66.0.0/16")
       ~global_pool:
         (Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f)
-      ~ingest_batching ~parallel_ingest ()
+      ~ingest_batching ~lanes ()
   in
-  checkb "parallel_ingest 0 rejected" true
+  checkb "lanes 0 rejected" true
     (try
        ignore (mk 0 ());
        false
      with Invalid_argument _ -> true);
-  checkb "parallel lane requires batched ingest" true
+  checkb "several lanes require batched ingest" true
     (try
-       ignore (mk ~ingest_batching:false 4 ());
+       ignore (mk ~ingest_batching:false 2 ());
        false
      with Invalid_argument _ -> true);
-  let r = mk 1 () in
-  checki "parallel_ingest 1 is the sequential path" 1 (Router.parallel_ingest r)
+  let r = mk ~ingest_batching:false 1 () in
+  checki "one lane is the sequential path" 1 (Router.lanes r)
+
+(* Undecodable wire items are counted, not dropped silently, and the
+   count does not depend on the lane count: the sequential path decodes
+   on the coordinator's lane, the 4-lane path on each neighbor's lane.
+   A valid non-UPDATE message is ignored without counting. *)
+let test_decode_errors_counted () =
+  let garbage =
+    [| "\x00\x01"; String.make 19 '\xff'; "not a BGP message at all" |]
+  in
+  let run lanes =
+    let fx = make_fixture ~lanes () in
+    let batch =
+      Array.append
+        (Array.mapi
+           (fun i g -> (fx.neighbor_ids.(i mod n_neighbors), Router.Wire g))
+           garbage)
+        [|
+          (fx.neighbor_ids.(0), Router.Wire (Codec.encode Msg.Keepalive));
+          ( fx.neighbor_ids.(1),
+            Router.Wire
+              (Codec.encode
+                 (Msg.Update
+                    (Msg.update ~attrs:(attr_variant ~nbr:1 0)
+                       ~announced:[ Msg.nlri (op_prefix 0) ]
+                       ()))) );
+        |]
+    in
+    Router.ingest_updates fx.router batch;
+    Router.ingest_updates fx.router batch;
+    let errors = (Router.ingest_stats fx.router).Router.decode_errors in
+    let updates = (Router.counters fx.router).Router.updates_from_neighbors in
+    Router.shutdown_domains fx.router;
+    (errors, updates)
+  in
+  let e1, u1 = run 1 in
+  let e4, u4 = run 4 in
+  checki "every garbage item counted, one lane" (2 * Array.length garbage) e1;
+  checki "the same count at four lanes" e1 e4;
+  checki "only the UPDATEs processed, one lane" 2 u1;
+  checki "the same updates at four lanes" u1 u4
 
 let test_unknown_neighbor_rejected () =
-  let fx = make_fixture ~parallel_ingest:4 () in
+  let fx = make_fixture ~lanes:4 () in
   let bogus = 1 + Array.fold_left max 0 fx.neighbor_ids in
   checkb "unknown neighbor raises" true
     (try
@@ -448,6 +490,8 @@ let () =
         [
           Alcotest.test_case "mid-churn session kill on a worker's neighbor"
             `Quick test_par_kill_mid_churn;
+          Alcotest.test_case "decode errors counted at any lane count" `Quick
+            test_decode_errors_counted;
         ] );
       ( "partition",
         [

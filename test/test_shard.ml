@@ -3,7 +3,7 @@
    aggregation across worker domains, staleness refresh against the
    published control snapshot, and the sharded-vs-sequential
    differential (identical delivery multisets, counters, and shaper
-   debits with [?domains:4] vs the single-domain path). *)
+   debits with [?lanes:4] vs the single-lane path). *)
 
 open Netcore
 open Bgp
@@ -94,7 +94,7 @@ type fx = {
   delivered : Ipv4_packet.t list ref;
 }
 
-let make_router ?data ?(domains = 1) () =
+let make_router ?data ?(lanes = 1) () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -102,7 +102,7 @@ let make_router ?data ?(domains = 1) () =
   let router =
     Router.create ~engine ~name:"shard" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ?data ~domains ()
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ?data ~lanes ()
   in
   Router.activate router;
   let delivered = ref [] in
@@ -169,7 +169,7 @@ let frame_of fx (flow, ttl_i, payload_len) =
 (* -- counter aggregation ----------------------------------------------------------- *)
 
 let test_counter_aggregation () =
-  let fx = make_router ~domains:4 () in
+  let fx = make_router ~lanes:4 () in
   announce fx prefixes.(0);
   announce fx prefixes.(1);
   let n = 300 in
@@ -193,7 +193,7 @@ let test_counter_aggregation () =
 let test_stale_refresh () =
   (* Withdraw between batches: the workers must observe the republished
      snapshot and drop — a stale cached forward may not survive. *)
-  let fx = make_router ~domains:4 () in
+  let fx = make_router ~lanes:4 () in
   announce fx prefixes.(0);
   let frames = Array.init 64 (fun i -> frame_of fx (i land 7, 2, 4)) in
   Router.forward_frames fx.router frames;
@@ -218,8 +218,8 @@ let shard_pool fx =
    snapshot fingerprint: no republication, no worker-cache flush, and
    the sharded output still equals the sequential one. *)
 let test_attribute_churn_keeps_snapshot () =
-  let par = make_router ~domains:4 () in
-  let seq = make_router ~domains:1 () in
+  let par = make_router ~lanes:4 () in
+  let seq = make_router ~lanes:1 () in
   let frames fx = Array.init 64 (fun i -> frame_of fx (i land 7, 2, 4)) in
   let both f =
     f par;
@@ -255,6 +255,65 @@ let test_attribute_churn_keeps_snapshot () =
     (Router.counters seq.router).Router.packets_to_neighbors
     (Router.counters par.router).Router.packets_to_neighbors;
   Router.shutdown_domains par.router
+
+(* -- the sharded hit path ----------------------------------------------------------- *)
+
+(* A sharded hit forwards the record the lane's stateful tail built, or
+   reads one out of the frame when there is no tail, and that record is
+   what the neighbor receives — the coordinator does not rebuild it. The
+   forwarded packets and the TTL-exceeded ICMP that TTL-1 hits earn must
+   equal the sequential path's records exactly. The ICMP reaches a local
+   experiment, whose frames are captured off the experiment LAN. *)
+let test_hit_records () =
+  let exp_mac = Mac.local ~pool:2 1 in
+  let run lanes =
+    let d = Data_enforcer.create () in
+    Data_enforcer.add_filter d
+      (Data_enforcer.shaper ~name:"pop-shaper" ~rate:0. ~burst:1e9
+         ~key_of:(fun _ -> "pop") ());
+    let fx = make_router ~data:d ~lanes () in
+    let engine = fx.router.Router_state.engine in
+    announce fx prefixes.(0);
+    let grant =
+      Control_enforcer.grant ~asns:[ asn 61574 ]
+        ~prefixes:[ pfx "184.164.224.0/24" ]
+        "exp001"
+    in
+    let pair = Router.connect_experiment fx.router ~grant ~mac:exp_mac () in
+    Sim.Bgp_wire.start pair;
+    Sim.Engine.run_until engine (Sim.Engine.now engine +. 5.);
+    Router_state.owner_insert fx.router (pfx "184.164.224.0/24")
+      (Router_state.Local_exp "exp001");
+    let to_exp = ref [] in
+    Sim.Lan.attach fx.router.Router_state.exp_lan exp_mac (fun f ->
+        to_exp := f.Eth.payload :: !to_exp);
+    let frame ~ttl ~ident =
+      {
+        Eth.dst = vmac fx;
+        src = exp_mac;
+        ethertype = Eth.Ipv4;
+        payload =
+          Ipv4_packet.encode
+            (Ipv4_packet.make ~ttl ~ident ~src:(ip "184.164.224.1")
+               ~dst:(ip "192.168.0.9") ~protocol:Ipv4_packet.Udp
+               (String.make 40 'm'));
+      }
+    in
+    for i = 1 to 4 do
+      Router.forward_frames fx.router
+        [| frame ~ttl:64 ~ident:i; frame ~ttl:1 ~ident:(100 + i) |]
+    done;
+    Sim.Engine.run_until engine (Sim.Engine.now engine +. 1.);
+    Router.shutdown_domains fx.router;
+    (!(fx.delivered), !to_exp, Router.counters fx.router)
+  in
+  let par_out, par_icmp, pc = run 4 in
+  let seq_out, seq_icmp, _ = run 1 in
+  checki "one miss, the rest sharded hits" 7 pc.Router.flow_hits;
+  checki "four forwarded" 4 (List.length par_out);
+  checkb "forwarded records equal the sequential ones" true (par_out = seq_out);
+  checki "four ICMP delivered" 4 (List.length par_icmp);
+  checkb "ICMP records equal the sequential ones" true (par_icmp = seq_icmp)
 
 (* -- differential: sharded == sequential ------------------------------------------- *)
 
@@ -322,8 +381,8 @@ let prop_sharded_equals_sequential =
     ~count:25
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) gen_op))
     (fun ops ->
-      let par = make_router ~data:(diff_chain ()) ~domains:4 () in
-      let seq = make_router ~data:(diff_chain ()) ~domains:1 () in
+      let par = make_router ~data:(diff_chain ()) ~lanes:4 () in
+      let seq = make_router ~data:(diff_chain ()) ~lanes:1 () in
       announce par prefixes.(0);
       announce seq prefixes.(0);
       List.iter
@@ -377,6 +436,11 @@ let () =
             test_stale_refresh;
           Alcotest.test_case "attribute-only churn keeps the snapshot" `Quick
             test_attribute_churn_keeps_snapshot;
+        ] );
+      ( "hit-path",
+        [
+          Alcotest.test_case "shaped TTL-1 hit records equal sequential"
+            `Quick test_hit_records;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_sharded_equals_sequential ] );
