@@ -21,7 +21,7 @@ bench:
 # Machine-readable headline metrics (micro ns/op, fig6a memory bytes,
 # flap withdrawal-storm counts, burst/intern sharing & packing ratios).
 bench-json:
-	dune exec bench/main.exe -- --json bench.json micro fig6a flap burst intern fwd fwd-par ingest-par export-par fullscale drill
+	dune exec bench/main.exe -- --json bench.json micro fig6a flap burst intern fwd ingest-par export-par fullscale drill
 
 # Full-table-scale control plane: 500k+ routes over 100 neighbors through
 # the batched-ingest pipeline, then a staged churn replay (withdraw storm,
@@ -33,7 +33,7 @@ fullscale:
 # Fast smoke run of the microbenchmarks (used by `make check`); writes
 # bench-smoke.json for the regression gate below.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke --json bench-smoke.json micro flap burst intern fwd fwd-par ingest-par export-par fullscale drill
+	dune exec bench/main.exe -- --smoke --json bench-smoke.json micro flap burst intern fwd ingest-par export-par fullscale drill
 
 # Regression gate: compare the smoke run against the committed baseline.
 # Fails if any count/bytes/ratio headline metric moves >10% in the wrong
@@ -45,16 +45,16 @@ bench-diff: bench-smoke
 chaos:
 	dune exec test/test_chaos.exe
 
-# The lane suites. Each runs a `Router.create ~lanes:4` router against a
-# `~lanes:1` one; all three lanes sit on the `Lanes` pool (lib/core/lanes.ml).
+# The lane suites. The ingest and export lanes both sit on the `Lanes`
+# pool (lib/core/lanes.ml); their suites run a `Router.create ~lanes:4`
+# router against a `~lanes:1` one.
 #
-# Lanes pool and multicore data plane: the pool's own contract (inline
-# single lane, idempotent shutdown and respawn, queue high-water marks),
-# arena stress across domains, the sharded hit records, and the
-# sharded-vs-sequential differential (also part of `dune runtest`).
+# Lanes pool: the pool's own contract (inline single lane, idempotent
+# shutdown and respawn, queue high-water marks, exception safety) and the
+# attribute arena under an intern storm from four domains (also part of
+# `dune runtest`).
 par:
 	dune exec test/test_lanes.exe
-	dune exec test/test_shard.exe
 
 # Ingest lane: the 4-lane-vs-sequential fingerprint differential (incl.
 # graceful restart and mid-churn session kills), decode-error counting at

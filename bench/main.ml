@@ -239,8 +239,7 @@ let time_per_update name f stream =
 (* A vBGP router fixture with [experiments] connected experiment sessions
    and optionally a backbone mesh peer. Session sends are synchronous, so
    the pipeline can be driven and timed without running the event engine. *)
-let make_bench_router ?caps ?data ?(flow_cache = true) ?(lanes = 1)
-    ~experiments ~mesh () =
+let make_bench_router ?caps ?data ?(flow_cache = true) ~experiments ~mesh () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Vbgp.Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -248,8 +247,7 @@ let make_bench_router ?caps ?data ?(flow_cache = true) ?(lanes = 1)
   let router =
     Vbgp.Router.create ~engine ~name:"bench" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ?data ~flow_cache
-      ~lanes ()
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ?data ~flow_cache ()
   in
   Vbgp.Router.activate router;
   let neighbor_id, npair =
@@ -811,9 +809,9 @@ let ratelimit () =
 (* A router with a 10k-route neighbor table for data-plane forwarding
    benchmarks, and a frame generator aimed at it ([flow] selects one of
    64 destination addresses, all covered by the table). *)
-let make_fwd_router ?data ?flow_cache ?lanes () =
+let make_fwd_router ?data ?flow_cache () =
   let router, neighbor_id =
-    make_bench_router ?data ?flow_cache ?lanes ~experiments:0 ~mesh:false ()
+    make_bench_router ?data ?flow_cache ~experiments:0 ~mesh:false ()
   in
   for i = 0 to 9_999 do
     Vbgp.Router.process_neighbor_update router ~neighbor_id
@@ -1478,101 +1476,15 @@ let fwd () =
   record ~experiment:"fwd" ~metric:"flow_hit_rate" ~unit_:"percent" hit_rate
 
 (* ------------------------------------------------------------------------- *)
-(* Sharded data plane: batch forwarding across OCaml worker domains vs the  *)
-(* sequential path, on the same 10k-route table. 256 distinct flows (src    *)
-(* MAC x src address x destination) so the flow hash spreads work across    *)
-(* the domains; each domain warms its own flow cache once and then serves   *)
-(* hits. The pps_* rows are informational (timing); the gated metrics are   *)
-(* the 4-domain speedup ratio and the sharded hit rate.                     *)
-(* ------------------------------------------------------------------------- *)
-
-let fwd_par_frame router neighbor_id ~flow =
-  {
-    Eth.dst =
-      (match Vbgp.Router.neighbor router neighbor_id with
-      | Some ns -> ns.Vbgp.Router.info.Vbgp.Neighbor.virtual_mac
-      | None -> Mac.zero);
-    src = Mac.local ~pool:0xe1 (1 + (flow land 7));
-    ethertype = Eth.Ipv4;
-    payload =
-      Ipv4_packet.encode
-        (Ipv4_packet.make
-           ~src:(Ipv4.of_int32 (Int32.of_int (0xb8a4e000 lor (flow land 0xff))))
-           ~dst:(Prefix.host (synth_prefix (4257 + (flow mod 64))) 9)
-           ~protocol:Ipv4_packet.Udp "x");
-  }
-
-let fwd_par () =
-  section "data-plane forwarding: sharded across domains";
-  let n = if !smoke then 24_576 else 196_608 in
-  let batch = 512 in
-  let counts = if !smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let run lanes =
-    let router, neighbor_id = make_fwd_router ~lanes () in
-    let frames =
-      Array.init batch (fun i ->
-          fwd_par_frame router neighbor_id ~flow:(i land 255))
-    in
-    (* One untimed warm-up pass, then best of three timed passes: the
-       warm-up spawns the worker domains and fills every domain's flow
-       cache outside the timed window, and taking the best of three
-       keeps the gated speedup ratio from flapping under CI load. *)
-    let pass () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to n / batch do
-        Vbgp.Router.forward_frames router frames
-      done;
-      float_of_int n /. (Unix.gettimeofday () -. t0)
-    in
-    ignore (pass ());
-    let pps = List.fold_left (fun best _ -> Float.max best (pass ())) 0. [ 1; 2; 3 ] in
-    Vbgp.Router.shutdown_domains router;
-    Fmt.pr "  %-32s %12.0f pps@."
-      (Printf.sprintf "%d lane%s" lanes (if lanes = 1 then "" else "s"))
-      pps;
-    record ~experiment:"fwd-par"
-      ~metric:(Printf.sprintf "pps_%ddom" lanes)
-      ~unit_:"pps" pps;
-    (* Per-lane ingress queue high-water marks: when the gated speedup
-       floor fails, these show from the JSON alone whether the flow hash
-       starved a lane or the coordinator queue backed up. Informational
-       (unit is not gated). *)
-    Array.iteri
-      (fun lane depth ->
-        record ~experiment:"fwd-par"
-          ~metric:(Printf.sprintf "qdepth_max_%ddom_lane%d" lanes lane)
-          ~unit_:"frames" (float_of_int depth))
-      (Vbgp.Router.shard_queue_depth_max router);
-    (router, pps)
-  in
-  let results = List.map (fun d -> (d, run d)) counts in
-  let pps_of d = snd (List.assoc d results) in
-  let speedup = pps_of 4 /. pps_of 1 in
-  let par_router = fst (List.assoc 4 results) in
-  let c = Vbgp.Router.counters par_router in
-  let hit_rate =
-    100.
-    *. float_of_int c.Vbgp.Router.flow_hits
-    /. float_of_int (c.Vbgp.Router.flow_hits + c.Vbgp.Router.flow_misses)
-  in
-  let delivered = c.Vbgp.Router.packets_to_neighbors in
-  Fmt.pr "  4-domain speedup %.2fx, hit rate %.2f%%, %d/%d delivered@."
-    speedup hit_rate delivered (3 * n);
-  record ~experiment:"fwd-par" ~metric:"pps_speedup_4dom" ~unit_:"ratio"
-    speedup;
-  record ~experiment:"fwd-par" ~metric:"fwdpar_hit_rate" ~unit_:"percent"
-    hit_rate
-
-(* ------------------------------------------------------------------------- *)
 (* Parallel ingest lane: wire-format UPDATE batches hash-partitioned over   *)
 (* ingest worker domains — each worker owns its neighbors' decode, intern   *)
 (* and Adj-RIB-In writes; the single writer reconciles FIB + dirty queue    *)
 (* at the drain — vs the sequential batched path. Every pass re-announces   *)
 (* the table with a fresh MED so the unchanged short-circuit never fires    *)
 (* and each pass pays the full decode + intern + RIB + dirty cost. Gated:   *)
-(* the 4-lane speedup ratio (honest floor for the quota-throttled           *)
-(* single-core CI box, mirroring fwd-par) and the staging residual, which   *)
-(* must be exactly zero after the final drain.                              *)
+(* the front-cache hit rate and the staging residual, which must be         *)
+(* exactly zero after the final drain. The 4-lane speedup ratio is recorded *)
+(* but not gated: on a 2-vCPU quota-throttled host it is noise.             *)
 (* ------------------------------------------------------------------------- *)
 
 let ingest_par () =
@@ -2285,7 +2197,6 @@ let experiments =
     ("flap", flap);
     ("intern", intern_bench);
     ("fwd", fwd);
-    ("fwd-par", fwd_par);
     ("ingest-par", ingest_par);
     ("export-par", export_par);
     ("fullscale", fullscale);

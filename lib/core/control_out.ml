@@ -343,12 +343,7 @@ let flush_reexports t =
     let v6 = Hashtbl.fold (fun p () acc -> p :: acc) t.dirty_v6 [] in
     Hashtbl.reset t.dirty_v6;
     flush_v6 t (List.sort Prefix_v6.compare v6)
-  end;
-  (* The tick flush is the natural publication point for the sharded
-     data plane: control churn has settled for this tick, so workers
-     pick up one consistent snapshot (no-op on 1-lane routers or
-     when nothing the snapshot captures has changed). *)
-  shard_publish t
+  end
 
 (* Arrange for one flush at the current engine tick. Every update
    processed at the same timestamp lands before the flush (equal-time

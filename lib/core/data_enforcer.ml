@@ -31,32 +31,13 @@ type filter = {
   apply : now:float -> meta:meta -> Ipv4_packet.t -> verdict;
   mutable f_allowed : int;
   mutable f_blocked : int;
-  fresh : (unit -> filter) option;
-      (** build an independent instance with private state (sharded data
-          plane); [None] means the apply closure holds no mutable state
-          and may be shared across replicas *)
 }
 
-let filter ?(stateless = false) ?fresh ~name apply =
-  { name; stateless; apply; f_allowed = 0; f_blocked = 0; fresh }
+let filter ?(stateless = false) ~name apply =
+  { name; stateless; apply; f_allowed = 0; f_blocked = 0 }
 
 let filter_name f = f.name
 let filter_is_stateless f = f.stateless
-let filter_counts f = (f.f_allowed, f.f_blocked)
-let apply_filter f = f.apply
-
-(* An independent instance of [f] for a worker domain: private state
-   (via the filter's [fresh] constructor when it has one), zeroed
-   per-filter counters. A stateful filter built without [~fresh] falls
-   back to sharing the apply closure — correct for pure-but-per-packet
-   filters like [ttl_guard]'s shape, unsafe for closures with interior
-   mutable state, which is why the built-in stateful filters here all
-   provide [fresh]. *)
-let replicate f =
-  match f.fresh with
-  | Some make -> make ()
-  | None -> { f with f_allowed = 0; f_blocked = 0 }
-
 type t = {
   mutable rev_filters : filter list;  (** newest first: O(1) insertion *)
   mutable ordered : filter list;  (** insertion order; rebuilt lazily *)
@@ -110,14 +91,6 @@ let filters t =
 
 let stats t = (t.allowed, t.blocked)
 
-let head_filters t =
-  refresh t;
-  t.head
-
-let tail_filters t =
-  refresh t;
-  t.tail
-
 let filter_stats t =
   refresh t;
   List.map (fun f -> (f.name, f.f_allowed, f.f_blocked)) t.ordered
@@ -154,45 +127,39 @@ let source_validation ~owner_of () =
    one bucket per experiment flow, say — no longer grows the table
    forever. *)
 let shaper ~name ~rate ~burst ?(idle_horizon = 300.) ~key_of () =
-  (* The bucket table lives inside [make] so every replica (one per
-     worker domain under sharding) owns a private one; with per-flow keys
-     and flow-to-domain affinity each bucket still has a single writer. *)
-  let rec make () =
-    let buckets : (string, float ref * float ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let evict_idle now =
-      let dead =
-        Hashtbl.fold
-          (fun key (_, last) acc ->
-            if now -. !last > idle_horizon then key :: acc else acc)
-          buckets []
-      in
-      List.iter (Hashtbl.remove buckets) dead
-    in
-    filter ~name ~fresh:make (fun ~now ~meta:_ (p : Ipv4_packet.t) ->
-        let key = key_of p in
-        let tokens, last =
-          match Hashtbl.find_opt buckets key with
-          | Some b -> b
-          | None ->
-              evict_idle now;
-              let b = (ref burst, ref now) in
-              Hashtbl.replace buckets key b;
-              b
-        in
-        tokens := Float.min burst (!tokens +. ((now -. !last) *. rate));
-        last := now;
-        let size =
-          float_of_int (Ipv4_packet.header_size + String.length p.payload)
-        in
-        if !tokens >= size then begin
-          tokens := !tokens -. size;
-          Allow
-        end
-        else Block (Fmt.str "rate limit exceeded for %s" key))
+  let buckets : (string, float ref * float ref) Hashtbl.t =
+    Hashtbl.create 16
   in
-  make ()
+  let evict_idle now =
+    let dead =
+      Hashtbl.fold
+        (fun key (_, last) acc ->
+          if now -. !last > idle_horizon then key :: acc else acc)
+        buckets []
+    in
+    List.iter (Hashtbl.remove buckets) dead
+  in
+  filter ~name (fun ~now ~meta:_ (p : Ipv4_packet.t) ->
+      let key = key_of p in
+      let tokens, last =
+        match Hashtbl.find_opt buckets key with
+        | Some b -> b
+        | None ->
+            evict_idle now;
+            let b = (ref burst, ref now) in
+            Hashtbl.replace buckets key b;
+            b
+      in
+      tokens := Float.min burst (!tokens +. ((now -. !last) *. rate));
+      last := now;
+      let size =
+        float_of_int (Ipv4_packet.header_size + String.length p.payload)
+      in
+      if !tokens >= size then begin
+        tokens := !tokens -. size;
+        Allow
+      end
+      else Block (Fmt.str "rate limit exceeded for %s" key))
 
 (* TTL sanity: refuse packets that would expire inside the platform. Keeps
    no state, but the verdict depends on the TTL — which is not part of the
@@ -308,21 +275,3 @@ let check_tail t ~now ~meta view =
       | Allowed p when p == packet -> Tail_pass (Some packet)
       | Allowed p -> Tail_rewritten p
       | Blocked reason -> Tail_blocked reason)
-
-(* Run a standalone (replica) filter list to a decision, crediting the
-   replicas' own per-filter counters — the worker-domain analog of
-   [run_chain], minus the chain-global counters and trace (those are
-   aggregated by the shard layer on snapshot). *)
-let rec run_replica_chain ~now ~meta packet = function
-  | [] -> Allowed packet
-  | f :: rest -> (
-      match f.apply ~now ~meta packet with
-      | Allow ->
-          f.f_allowed <- f.f_allowed + 1;
-          run_replica_chain ~now ~meta packet rest
-      | Block reason ->
-          f.f_blocked <- f.f_blocked + 1;
-          Blocked reason
-      | Transform packet ->
-          f.f_allowed <- f.f_allowed + 1;
-          run_replica_chain ~now ~meta packet rest)

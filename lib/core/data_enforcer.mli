@@ -26,7 +26,6 @@ type filter
 
 val filter :
   ?stateless:bool ->
-  ?fresh:(unit -> filter) ->
   name:string ->
   (now:float -> meta:meta -> Ipv4_packet.t -> verdict) ->
   filter
@@ -37,25 +36,10 @@ val filter :
     never on other header fields, payload, wall-clock time, or mutable
     state. Stateless filters form the cacheable head of the chain;
     flagging a filter stateless when it is not breaks flow-cache
-    coherence (stale verdicts served to later packets of a flow).
-
-    [fresh] builds an independent instance of the filter with private
-    mutable state; the sharded data plane calls it once per worker
-    domain ({!replicate}). A stateful filter whose apply closure owns
-    interior state (a bucket table, say) must provide it — typically
-    [let rec make () = filter ~fresh:make ... in make ()]. *)
+    coherence (stale verdicts served to later packets of a flow). *)
 
 val filter_name : filter -> string
 val filter_is_stateless : filter -> bool
-
-val filter_counts : filter -> int * int
-(** This filter's own [(allowed, blocked)] counters (used to aggregate
-    replica counters under sharding). *)
-
-val replicate : filter -> filter
-(** An independent instance for a worker domain: private state via
-    [fresh] when provided, zeroed counters. Without [fresh] the apply
-    closure is shared — safe only when it holds no mutable state. *)
 
 type t
 
@@ -154,27 +138,3 @@ val check_tail :
     head pass, and run the stateful tail on it. Only materializes a
     packet record when a tail filter actually exists, and then at most
     once: a pass returns it as [Tail_pass (Some p)]. *)
-
-(** {1 Sharded data plane}
-
-    The domain-sharded data plane ({!Shard}) publishes the chain split
-    into worker snapshots: head filters are shared read-only (their apply
-    closures are stateless by contract; workers keep per-domain counter
-    arrays), tail filters are {!replicate}d per domain so stateful
-    filters keep single-writer state under flow-to-domain affinity. *)
-
-val head_filters : t -> filter list
-(** The maximal stateless prefix of the chain, in order. *)
-
-val tail_filters : t -> filter list
-(** The first stateful filter onward, in order. *)
-
-val apply_filter :
-  filter -> now:float -> meta:meta -> Ipv4_packet.t -> verdict
-(** Run one filter's predicate without touching its counters (workers
-    account shared head filters in per-domain arrays instead). *)
-
-val run_replica_chain :
-  now:float -> meta:meta -> Ipv4_packet.t -> filter list -> decision
-(** Run a standalone replica list to a decision, crediting the replicas'
-    own per-filter counters; no chain-global counters or trace. *)

@@ -6,13 +6,13 @@
    source, giving experiments per-packet ingress visibility.
 
    The per-packet fast path works on {!Ipv4_packet.View}s — the wire
-   bytes adopted in place, TTL decremented with an incremental checksum
-   fix — and memoizes the composite forwarding decision (enforcement
-   verdict, ingress attribution, FIB entry, egress action) in a
-   per-neighbor flow cache keyed by (source MAC, src, dst). Entries are
-   stamped with three generations — the neighbor FIB's, the enforcement
-   chain's, and the owner table's — and self-invalidate when any source
-   of the decision changes; no explicit flush exists. Every mutation
+   bytes adopted in place and validated once — and memoizes the
+   composite forwarding decision (enforcement verdict, ingress
+   attribution, FIB entry, egress action) in a per-neighbor flow cache
+   keyed by (source MAC, src, dst). Entries are stamped with three
+   generations — the neighbor FIB's, the enforcement chain's, and the
+   owner table's — and self-invalidate when any source of the decision
+   changes; no explicit flush exists. Every mutation
    that changes a binding bumps its generation, and only those: every
    entry of a neighbor's FIB is the neighbor itself, so re-announcements
    that move only the AS path, MED or communities write nothing and the
@@ -275,57 +275,6 @@ let forward_experiment_frame t ~neighbor_id (frame : Eth.t) =
                 t.counters.flow_misses <- t.counters.flow_misses + 1;
                 resolve_and_forward t ~ns ~fib ~now ~sender
                   ~src_mac:frame.src ~store:true view))
-
-(* -- batch entry point (sharded when the router has worker domains) -------- *)
-
-(* Forward a batch of experiment frames, each selecting its neighbor
-   table by destination MAC. On a single-domain router this is the
-   sequential fast path in a loop; on a sharded router the frames are
-   dispatched to their flows' home domains, forwarded in parallel
-   against the published control snapshot, and the buffered effects are
-   folded back into shared router state here on the coordinator. The
-   control plane is quiesced for the duration (the engine isn't running
-   a tick while we're inside this call), so [Engine.now] is one value
-   for the whole drain — exactly like the sequential path's one clock
-   read per frame. *)
-let forward_frames t (frames : Eth.t array) =
-  match t.pool with
-  | None ->
-      Array.iter
-        (fun (frame : Eth.t) ->
-          match Hashtbl.find_opt t.by_vmac frame.Eth.dst with
-          | Some neighbor_id -> forward_experiment_frame t ~neighbor_id frame
-          | None ->
-              t.counters.packets_dropped <- t.counters.packets_dropped + 1)
-        frames
-  | Some pool ->
-      (* Catch anything that changed since the last tick flush (callers
-         driving the router directly, e.g. benches and tests). *)
-      shard_publish t;
-      Array.iter (Shard.dispatch pool) frames;
-      Shard.drain pool ~now:(Engine.now t.engine);
-      Shard.consume pool
-        ~deliver:(fun nid packet ->
-          match neighbor t nid with
-          | Some ns -> ns.deliver packet
-          | None -> t.counters.packets_dropped <- t.counters.packets_dropped + 1)
-        ~outcome:(fun o ->
-          match o with
-          | Shard.O_icmp packet -> deliver_inbound t (icmp_ttl_exceeded t packet)
-          | Shard.O_backbone (global_ip, packet) ->
-              forward_over_backbone t ~global_ip packet)
-        ~attribute:(fun name ~packets ~bytes ->
-          match experiment t name with
-          | Some e ->
-              e.att_packets_out <- e.att_packets_out + packets;
-              e.att_bytes_out <- e.att_bytes_out + bytes
-          | None -> ())
-        ~counters:(fun ~hits ~misses ~to_neighbors ~dropped ->
-          t.counters.flow_hits <- t.counters.flow_hits + hits;
-          t.counters.flow_misses <- t.counters.flow_misses + misses;
-          t.counters.packets_to_neighbors <-
-            t.counters.packets_to_neighbors + to_neighbors;
-          t.counters.packets_dropped <- t.counters.packets_dropped + dropped)
 
 (* Handle a frame arriving on the experiment LAN addressed to one of our
    stations (a neighbor's virtual MAC or the router itself). *)

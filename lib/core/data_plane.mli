@@ -38,17 +38,6 @@ val forward_experiment_frame :
     runs on the sequential path (shared caches), even on a router with
     several lanes. *)
 
-val forward_frames : Router_state.t -> Eth.t array -> unit
-(** Forward a batch of experiment frames, each selecting its neighbor
-    table by destination MAC (frames with an unknown destination are
-    dropped and counted). With [?lanes:1] (the default) this is the
-    sequential fast path in a loop — bit-identical to calling
-    {!forward_experiment_frame} per frame; with several lanes the batch
-    is hash-partitioned by flow onto the lanes, forwarded in parallel
-    against the published control snapshot ({!Shard}), and all effects
-    and counters are folded back before the call returns. The control
-    plane must be quiescent for the duration of the call. *)
-
 val handle_exp_lan_frame :
   Router_state.t -> station_neighbor:int option -> Eth.t -> unit
 (** The experiment-LAN station handler: ARP for virtual IPs, IPv4

@@ -1,6 +1,6 @@
-(* Worker lanes: the parked-domain protocol shared by the sharded data
-   plane, the ingest lane and the export lane. See lanes.mli for the
-   contract; the comments here cover the mechanics. *)
+(* Worker lanes: the parked-domain protocol shared by the ingest lane and
+   the export lane. See lanes.mli for the contract; the comments here
+   cover the mechanics. *)
 
 type ('s, 'i) lane = {
   st : 's;
@@ -9,10 +9,15 @@ type ('s, 'i) lane = {
   mutable hw : int;  (** lifetime high-water mark of [len] *)
 }
 
-(* A worker's slot. [W_work] is posted by the coordinator, [W_done] by
-   the worker, [W_quit] by [shutdown]; every transition happens under
-   [lock]. *)
-type wstate = W_idle | W_work | W_done | W_quit
+(* A worker's slot. [W_work] is posted by the coordinator, [W_done] or
+   [W_failed] by the worker, [W_quit] by [shutdown]; every transition
+   happens under [lock]. *)
+type wstate =
+  | W_idle
+  | W_work
+  | W_done
+  | W_failed of exn * Printexc.raw_backtrace
+  | W_quit
 
 type ('s, 'i, 'c) t = {
   lanes : ('s, 'i) lane array;
@@ -69,16 +74,32 @@ let push t i item =
 let depth_max t = Array.map (fun l -> l.hw) t.lanes
 let spawned t = Array.length t.handles
 
+(* Run one lane's queue and report how it went, as a slot state: one
+   lane's exception never stops the others. The queue is empty
+   afterwards even when [work] raised: the rest of it is dropped, so a
+   later run sees only its own items. [W_done] is a constant, so a run
+   that raises nothing allocates nothing here. *)
 let drain_lane t ctx l =
-  for i = 0 to l.len - 1 do
-    t.work ctx l.st l.q.(i)
-  done;
+  let outcome =
+    match
+      for i = 0 to l.len - 1 do
+        t.work ctx l.st l.q.(i)
+      done
+    with
+    | () -> W_done
+    | exception e -> W_failed (e, Printexc.get_raw_backtrace ())
+  in
   Array.fill l.q 0 l.len t.dummy;
-  l.len <- 0
+  l.len <- 0;
+  outcome
+
+let reraise = function
+  | W_failed (e, bt) -> Printexc.raise_with_backtrace e bt
+  | W_idle | W_work | W_done | W_quit -> ()
 
 (* The persistent worker body: park until the coordinator posts
    [W_work], drain the lane outside the lock (workers run genuinely in
-   parallel), post [W_done], park again. *)
+   parallel), post its outcome, park again. *)
 let worker_loop t i =
   let l = t.lanes.(i + 1) in
   Mutex.lock t.lock;
@@ -87,12 +108,12 @@ let worker_loop t i =
     | W_quit, _ -> Mutex.unlock t.lock
     | W_work, Some ctx ->
         Mutex.unlock t.lock;
-        drain_lane t ctx l;
+        let outcome = drain_lane t ctx l in
         Mutex.lock t.lock;
-        t.w_state.(i) <- W_done;
+        t.w_state.(i) <- outcome;
         Condition.broadcast t.cond;
         loop ()
-    | (W_idle | W_done | W_work), _ ->
+    | (W_idle | W_done | W_failed _ | W_work), _ ->
         Condition.wait t.cond t.lock;
         loop ()
   in
@@ -100,7 +121,7 @@ let worker_loop t i =
 
 let run t ctx =
   let workers = Array.length t.w_state in
-  if workers = 0 then drain_lane t ctx t.lanes.(0)
+  if workers = 0 then reraise (drain_lane t ctx t.lanes.(0))
   else begin
     if Array.length t.handles = 0 then
       t.handles <-
@@ -110,17 +131,27 @@ let run t ctx =
     Array.fill t.w_state 0 workers W_work;
     Condition.broadcast t.cond;
     Mutex.unlock t.lock;
-    drain_lane t ctx t.lanes.(0);
+    let lane0 = drain_lane t ctx t.lanes.(0) in
     Mutex.lock t.lock;
-    for i = 0 to workers - 1 do
-      while t.w_state.(i) <> W_done do
-        Condition.wait t.cond t.lock
-      done
-    done;
+    (* Wait for every worker, keeping the lowest lane's failure. *)
+    let rec wait i outcome =
+      if i = workers then outcome
+      else
+        match (t.w_state.(i), outcome) with
+        | (W_idle | W_work | W_quit), _ ->
+            Condition.wait t.cond t.lock;
+            wait i outcome
+        | (W_failed _ as failed), W_done -> wait (i + 1) failed
+        | (W_done | W_failed _), _ -> wait (i + 1) outcome
+    in
+    let outcome = wait 0 lane0 in
     Array.fill t.w_state 0 workers W_idle;
     (* Drop the context: it may capture router state. *)
     t.ctx <- None;
-    Mutex.unlock t.lock
+    Mutex.unlock t.lock;
+    (* Every lane has finished and every queue is empty: only now hand
+       the exception to the caller. *)
+    reraise outcome
   end
 
 let shutdown t =

@@ -1,5 +1,5 @@
 (** Worker lanes: the one parked-domain protocol behind the router's
-    three parallel paths ({!Shard}, {!Ingest_pool}, {!Export_pool}).
+    two parallel paths ({!Ingest_pool}, {!Export_pool}).
 
     A pool has [n] lanes. Each lane owns a state of type ['s] and a FIFO
     queue of items of type ['i]; the coordinator {!push}es items between
@@ -59,7 +59,10 @@ val depth_max : _ t -> int array
 val run : ('s, 'i, 'c) t -> 'c -> unit
 (** Process every queued item: each lane runs [work ctx] over its own
     queue in FIFO order, then empties it. Returns once every lane is
-    done. *)
+    done. If [work] raises on a lane, that lane drops the rest of its
+    queue, the other lanes still finish theirs, and [run] re-raises the
+    exception of the lowest failing lane once every queue is empty; the
+    pool is ready for the next run. *)
 
 val spawned : _ t -> int
 (** Worker domains currently alive (0 with one lane or after

@@ -122,19 +122,12 @@ let export_stats t = Export_pool.stats t.Router_state.export_pool
 
 let inject_from_neighbor = Data_plane.inject_from_neighbor
 let forward_experiment_frame = Data_plane.forward_experiment_frame
-let forward_frames = Data_plane.forward_frames
 
 (* -- lanes ------------------------------------------------------------------- *)
 
 let lanes t = t.Router_state.lanes
 
-let shard_queue_depth_max t =
-  match t.Router_state.pool with
-  | Some pool -> Shard.queue_depth_max pool
-  | None -> [||]
-
 let shutdown_domains t =
-  Option.iter Shard.shutdown t.Router_state.pool;
   Ingest_pool.shutdown t.Router_state.ingest_pool;
   Export_pool.shutdown t.Router_state.export_pool
 

@@ -98,10 +98,8 @@ val create :
     dirty-queue flush that emits packed multi-NLRI UPDATEs; disabling it
     restores the eager per-prefix export path (again, the reference the
     differential tests compare against). [lanes] (default 1) is the
-    worker-lane count of the three parallel paths, each a {!Lanes} pool:
-    the data plane's batch entry point ({!forward_frames}) shards frames
-    by flow across lane-local flow caches against an immutable control
-    snapshot ({!Shard}); the batch ingest entry point ({!ingest_updates})
+    worker-lane count of the two parallel control-plane paths, each a
+    {!Lanes} pool: the batch ingest entry point ({!ingest_updates})
     partitions updates by neighbor, each lane owning its neighbors' wire
     decode, attribute intern and Adj-RIB-In writes ({!Ingest_pool}); and
     the dirty-prefix flush toward neighbors ({!flush_reexports})
@@ -110,10 +108,10 @@ val create :
     single writer replays every lane's staged effects, so 1 lane and
     [n] lanes are bit-identical (byte-identical on the wire); 1 runs
     everything inline and never spawns a domain. More than 1 requires
-    the flow cache and [ingest_batching]. [seed] drives the
-    router's deterministic RNG (reconnect jitter); [gr_restart_time] is
-    the graceful-restart window it advertises (RFC 4724) — 0 disables
-    graceful restart. *)
+    [ingest_batching]. The data plane has one path whatever [lanes] is.
+    [seed] drives the router's deterministic RNG (reconnect jitter);
+    [gr_restart_time] is the graceful-restart window it advertises
+    (RFC 4724) — 0 disables graceful restart. *)
 
 val activate : t -> unit
 (** Attach the router's own station to the experiment LAN (answers ARP for
@@ -266,34 +264,18 @@ val inject_from_neighbor : t -> neighbor_id:int -> Ipv4_packet.t -> unit
 
 val forward_experiment_frame : t -> neighbor_id:int -> Eth.t -> unit
 (** A frame an experiment addressed to a neighbor's virtual MAC (normally
-    invoked via the LAN station). Always sequential, even on a router
-    with several lanes. *)
-
-val forward_frames : t -> Eth.t array -> unit
-(** Forward a batch of experiment frames, each selecting its neighbor by
-    destination MAC (unknown destinations drop and count). On a
-    [?lanes:n] router with [n > 1] the batch is hash-partitioned by
-    flow across the lanes and forwarded in parallel against the
-    published control snapshot; effects and counters are folded back
-    before the call returns. With one lane this is the sequential fast
-    path in a loop. *)
+    invoked via the LAN station). *)
 
 val lanes : t -> int
 (** The router's lane count (1 = the sequential paths). *)
 
-val shard_queue_depth_max : t -> int array
-(** Per-lane queue high-water mark of the sharded data plane
-    (empty on sequential routers) — recorded in the fwd-par bench so
-    speedup-floor failures are diagnosable from the JSON alone. *)
-
 val shutdown_domains : t -> unit
-(** Join the router's parked worker domains — the sharded data plane's,
-    the ingest lane's and the export lane's (each live domain counts
-    against the OCaml runtime's domain limit, so tests and benchmarks
-    churning many [?lanes] routers should release them). Idempotent, a
-    no-op on 1-lane routers, and transparent: the next parallel batch
-    respawns workers with all state (caches, counters, shaper replicas)
-    intact. *)
+(** Join the router's parked worker domains — the ingest lane's and the
+    export lane's (each live domain counts against the OCaml runtime's
+    domain limit, so tests and benchmarks churning many [?lanes] routers
+    should release them). Idempotent, a no-op on 1-lane routers, and
+    transparent: the next parallel batch respawns workers with all
+    router state intact. *)
 
 (** {1 Wiring} *)
 

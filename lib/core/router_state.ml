@@ -215,9 +215,8 @@ type t = {
           (off forces every frame through the slow path — the reference
           behavior differential tests compare against) *)
   lanes : int;
-      (** worker lanes of the sharded data plane, the ingest lane and the
-          export lane ({!Lanes}); 1 = the sequential paths (the default) *)
-  pool : Shard.t option;  (** the sharded data plane when [lanes > 1] *)
+      (** worker lanes of the ingest lane and the export lane ({!Lanes});
+          1 = the sequential paths (the default) *)
   ingest_pool : Ingest_pool.t;
       (** always present: with one lane it only counts the sequential
           path's decode errors *)
@@ -225,9 +224,6 @@ type t = {
       (** always present: the single-lane pool is the sequential flush
           path itself (inline on the coordinator), so the encode-once
           wire cache and its stats are live on every router *)
-  mutable shard_fp : int list;
-      (** fingerprint of the control state captured by the last published
-          snapshot; a publication happens only when it changes *)
 }
 
 let mesh_exp_id_base = 100_000
@@ -242,8 +238,6 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     ?control ?data ?(flow_cache = true) ?(ingest_batching = true)
     ?(lanes = 1) ?(seed = 42) ?(gr_restart_time = 120) () =
   if lanes < 1 then invalid_arg "Router.create: lanes must be >= 1";
-  if lanes > 1 && not flow_cache then
-    invalid_arg "Router.create: the sharded data plane requires the flow cache";
   if lanes > 1 && not ingest_batching then
     invalid_arg
       "Router.create: the parallel ingest lane requires batched ingest";
@@ -317,10 +311,8 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     gr_restart_time;
     flow_cache_enabled = flow_cache;
     lanes;
-    pool = (if lanes > 1 then Some (Shard.create ~lanes ()) else None);
     ingest_pool = Ingest_pool.create ~lanes ();
     export_pool = Export_pool.create ~lanes ();
-    shard_fp = [];
   }
 
 let name t = t.name
@@ -382,59 +374,6 @@ let owner_lookup t ip =
       result
 
 let neighbor t id = Hashtbl.find_opt t.neighbors id
-
-(* -- sharded data-plane snapshot publication --------------------------------- *)
-
-(* Everything a worker-domain snapshot derives from, reduced to a list of
-   generation stamps: the enforcement chain's generation, the owner
-   cache's (bumped by announcements, withdrawals, and experiment
-   attachment — which also covers ingress attribution), the experiment
-   station count, and each neighbor's (id, FIB generation). When none of
-   these moved since the last publication, the published snapshot is
-   still exact and republishing would only invalidate the worker caches
-   for nothing. *)
-let shard_fingerprint t =
-  let per_neighbor =
-    Hashtbl.fold (fun id _ acc -> id :: acc) t.neighbors []
-    |> List.sort Int.compare
-    |> List.concat_map (fun id ->
-           [ id; Rib.Fib.generation (Rib.Fib.Set.table t.fibs id) ])
-  in
-  Data_enforcer.generation t.data
-  :: Dcache.generation t.owner_cache
-  :: Hashtbl.length t.by_exp_mac
-  :: per_neighbor
-
-(* Publish a fresh control snapshot to the worker pool when anything it
-   captures has changed. Called at every tick flush and lazily before
-   each sharded drain; a no-op on 1-lane routers. The snapshot
-   tables are built fresh here and handed over immutably; the per-neighbor
-   FIB tries are persistent values, so capturing the roots is O(neighbors)
-   regardless of table size. *)
-let shard_publish t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-      let fp = shard_fingerprint t in
-      if fp <> t.shard_fp then begin
-        t.shard_fp <- fp;
-        let vmac = Hashtbl.create (max 8 (Hashtbl.length t.by_vmac)) in
-        Hashtbl.iter
-          (fun mac id ->
-            match neighbor t id with
-            | None -> ()
-            | Some ns ->
-                Hashtbl.replace vmac mac
-                  {
-                    Shard.sn_id = id;
-                    sn_alias = Neighbor.is_alias ns.info;
-                    sn_trie = Rib.Fib.trie (Rib.Fib.Set.table t.fibs id);
-                  })
-          t.by_vmac;
-        Shard.publish pool ~vmac ~exp_mac:(Hashtbl.copy t.by_exp_mac)
-          ~head:(Data_enforcer.head_filters t.data)
-          ~tail:(Data_enforcer.tail_filters t.data)
-      end
 
 let neighbor_states t =
   Hashtbl.fold (fun _ ns acc -> ns :: acc) t.neighbors []

@@ -183,9 +183,8 @@ type t = {
   flow_cache_enabled : bool;
       (** serve forwarding decisions from the per-neighbor flow caches *)
   lanes : int;
-      (** worker lanes of the sharded data plane, the ingest lane and the
-          export lane ({!Lanes}); 1 = the sequential paths (the default) *)
-  pool : Shard.t option;  (** the sharded data plane when [lanes > 1] *)
+      (** worker lanes of the ingest lane and the export lane ({!Lanes});
+          1 = the sequential paths (the default) *)
   ingest_pool : Ingest_pool.t;
       (** always present: with one lane it only counts the sequential
           path's decode errors *)
@@ -193,9 +192,6 @@ type t = {
       (** the export lane pool — always present: the single-lane pool is
           the sequential flush path itself (encode-once wire cache and
           stats stay live on every router) *)
-  mutable shard_fp : int list;
-      (** fingerprint of the control state captured by the last published
-          snapshot (see {!shard_publish}) *)
 }
 
 val mesh_exp_id_base : int
@@ -224,17 +220,9 @@ val create :
   ?gr_restart_time:int ->
   unit ->
   t
-(** [lanes] (>= 1) sizes all three lane pools; more than one requires
-    the flow cache (the sharded data plane memoizes per flow) and
+(** [lanes] (>= 1) sizes both lane pools; more than one requires
     [ingest_batching] (the ingest lane feeds the per-tick dirty queue;
     there is no parallel eager path). *)
-
-val shard_publish : t -> unit
-(** Publish a fresh control snapshot to the sharded data plane's worker
-    pool when any state it captures has changed (enforcement chain,
-    owner table, experiment stations, any neighbor FIB — tracked by a
-    generation fingerprint). Called automatically at every tick flush
-    and before each sharded drain; a no-op on 1-lane routers. *)
 
 val name : t -> string
 val asn : t -> Asn.t

@@ -41,17 +41,3 @@ let sum_bytes_into acc data ~pos ~len =
 
 let of_bytes data ~pos ~len = finish (sum_bytes_into 0 data ~pos ~len)
 let verify_bytes data ~pos ~len = of_bytes data ~pos ~len = 0
-
-(* RFC 1624 (eqn. 3): patch a checksum after one 16-bit word of the
-   summed data changed, HC' = ~(~HC + ~m + m'). Used by the data plane's
-   in-place TTL decrement, where recomputing the whole header sum per
-   packet would defeat the zero-copy path. Two folds suffice: the sum of
-   three 16-bit quantities carries at most twice. *)
-let incremental_fix ~cksum ~old_word ~new_word =
-  let s =
-    (lnot cksum land 0xffff) + (lnot old_word land 0xffff)
-    + (new_word land 0xffff)
-  in
-  let s = (s land 0xffff) + (s lsr 16) in
-  let s = (s land 0xffff) + (s lsr 16) in
-  lnot s land 0xffff

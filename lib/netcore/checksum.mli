@@ -19,8 +19,3 @@ val sum_bytes_into : int -> Bytes.t -> pos:int -> len:int -> int
 
 val of_bytes : Bytes.t -> pos:int -> len:int -> int
 val verify_bytes : Bytes.t -> pos:int -> len:int -> bool
-
-val incremental_fix : cksum:int -> old_word:int -> new_word:int -> int
-(** RFC 1624 incremental update: the checksum after one 16-bit word of
-    the summed data changed from [old_word] to [new_word],
-    [HC' = ~(~HC + ~m + m')]. *)

@@ -95,10 +95,10 @@ let pp ppf t =
 
 type packet = t
 
-(* Zero-copy packet views: the wire buffer itself, read (and minimally
-   mutated) by field offset, so the data-plane fast path never
-   materializes a record or re-encodes on delivery. The record above
-   remains the slow-path currency (filters, ICMP generation, tests).
+(* Zero-copy packet views: the wire buffer itself, read by field offset,
+   so the data-plane fast path never materializes a record or re-encodes
+   on delivery. The record above remains the slow-path currency (filters,
+   ICMP generation, tests).
 
    Wire layout (RFC 791, IHL fixed at 5): 0 version/IHL, 1 DSCP/ECN,
    2-3 total length, 4-5 ident, 6-7 flags/fragment, 8 TTL, 9 protocol,
@@ -130,22 +130,6 @@ module View = struct
   let dscp b = Bytes.get_uint8 b 1 lsr 2
   let total_length b = Bytes.get_uint16_be b 2
   let payload_length b = total_length b - header_size
-
-  (* In-place TTL decrement. The TTL shares the 16-bit word at offset 8
-     with the protocol byte; that word drops by exactly [1 lsl 8], and
-     the checksum at offset 10 is patched incrementally (RFC 1624)
-     instead of resummed over the whole header. *)
-  let decrement_ttl b =
-    let old_ttl = Bytes.get_uint8 b 8 in
-    if old_ttl = 0 then invalid_arg "Ipv4_packet.View.decrement_ttl: ttl 0";
-    let proto = Bytes.get_uint8 b 9 in
-    let old_word = (old_ttl lsl 8) lor proto in
-    let new_word = (old_ttl - 1) lsl 8 lor proto in
-    Bytes.set_uint8 b 8 (old_ttl - 1);
-    Bytes.set_uint16_be b 10
-      (Checksum.incremental_fix
-         ~cksum:(Bytes.get_uint16_be b 10)
-         ~old_word ~new_word)
 
   (* The wire form without re-encoding. [Bytes.unsafe_to_string] is safe
      under the stated ownership contract: after [to_wire] the view must

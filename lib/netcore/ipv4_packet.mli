@@ -76,10 +76,6 @@ module View : sig
 
   val payload_length : t -> int
 
-  val decrement_ttl : t -> unit
-  (** In-place TTL decrement with an RFC 1624 incremental checksum
-      update. Raises [Invalid_argument] when the TTL is already 0. *)
-
   val to_wire : t -> string
   (** The wire form, without re-encoding. Ownership contract: the view
       must not be mutated after [to_wire] (the buffer may be shared with

@@ -81,9 +81,8 @@ let generation t = Dcache.generation t.cache
 
 (* The trie value itself is an immutable persistent structure; mutation
    replaces [t.trie] wholesale. Handing the current root out therefore
-   yields a consistent point-in-time snapshot that is safe to read from
-   other domains — the sharded data plane captures it per control-plane
-   generation and pairs it with [generation] for staleness detection. *)
+   yields a consistent point-in-time snapshot; comparing two roots
+   physically tells whether a write changed the table. *)
 let trie t = t.trie
 
 let find t prefix = Ptrie.V4.find prefix t.trie

@@ -1,7 +1,6 @@
 (* Tests for the data-plane fast path: zero-copy packet views (wire-offset
-   accessors, in-place TTL decrement with an RFC 1624 incremental checksum
-   fix) and the generation-stamped per-neighbor flow cache, held
-   differentially against the record slow path. *)
+   accessors, validation) and the generation-stamped per-neighbor flow
+   cache, held differentially against the record slow path. *)
 
 open Netcore
 open Bgp
@@ -75,52 +74,6 @@ let test_view_validation () =
       corrupt 3 (fun x -> x + 40);
       corrupt 8 (fun x -> x lxor 0xff);
     ]
-
-(* The incremental checksum fix must agree bit-for-bit with a full
-   recompute: decrementing the TTL through the view yields exactly the
-   bytes [encode] produces for the decremented record. *)
-let test_ttl_decrement_matches_reencode () =
-  List.iter
-    (fun ttl ->
-      List.iter
-        (fun protocol ->
-          let p = packet ~ttl ~protocol ~payload:"payload!" () in
-          let v = view_of p in
-          Ipv4_packet.View.decrement_ttl v;
-          checks
-            (Printf.sprintf "ttl %d" ttl)
-            (Ipv4_packet.encode { p with Ipv4_packet.ttl = ttl - 1 })
-            (Ipv4_packet.View.to_wire v))
-        [ Ipv4_packet.Udp; Ipv4_packet.Tcp; Ipv4_packet.Icmp;
-          Ipv4_packet.Other 97 ])
-    [ 1; 2; 17; 64; 128; 255 ];
-  Alcotest.check_raises "ttl 0 refused"
-    (Invalid_argument "Ipv4_packet.View.decrement_ttl: ttl 0") (fun () ->
-      Ipv4_packet.View.decrement_ttl (view_of (packet ~ttl:0 ())))
-
-let prop_incremental_checksum =
-  QCheck.Test.make ~name:"incremental checksum equals full recompute"
-    ~count:500
-    (QCheck.quad
-       (QCheck.int_bound 0xffffff)
-       (QCheck.int_bound 0xffffff)
-       (QCheck.int_range 1 255)
-       (QCheck.pair (QCheck.int_bound 0xffff)
-          (QCheck.string_of_size (QCheck.Gen.int_range 0 40))))
-    (fun (s, d, ttl, (ident, payload)) ->
-      let p =
-        Ipv4_packet.make ~ttl ~ident
-          ~src:(Ipv4.of_int32 (Int32.of_int (0x0a000000 + s)))
-          ~dst:(Ipv4.of_int32 (Int32.of_int (0x40000000 + d)))
-          ~protocol:Ipv4_packet.Udp payload
-      in
-      match Ipv4_packet.View.of_string (Ipv4_packet.encode p) with
-      | Error _ -> false
-      | Ok v ->
-          Ipv4_packet.View.decrement_ttl v;
-          String.equal
-            (Ipv4_packet.encode { p with Ipv4_packet.ttl = ttl - 1 })
-            (Ipv4_packet.View.to_wire v))
 
 (* -- router fixture ---------------------------------------------------------------- *)
 
@@ -654,9 +607,6 @@ let () =
             test_view_accessors;
           Alcotest.test_case "validation matches decode" `Quick
             test_view_validation;
-          Alcotest.test_case "ttl decrement matches re-encode" `Quick
-            test_ttl_decrement_matches_reencode;
-          QCheck_alcotest.to_alcotest prop_incremental_checksum;
         ] );
       ( "flow-cache",
         [

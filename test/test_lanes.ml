@@ -1,10 +1,14 @@
-(* Tests for [Lanes], the worker-lane pool under the sharded data plane,
-   the ingest lane and the export lane: a one-lane pool runs inline and
-   spawns nothing, every lane drains its own queue in FIFO order on its
-   own domain, shutdown is idempotent and a later run respawns, queue
-   high-water marks survive runs, and a lane count below one is
-   rejected. *)
+(* Tests for [Lanes], the worker-lane pool under the ingest lane and the
+   export lane: a one-lane pool runs inline and spawns nothing, every
+   lane drains its own queue in FIFO order on its own domain, shutdown is
+   idempotent and a later run respawns, queue high-water marks survive
+   runs, a lane count below one is rejected, and an exception raised by
+   [work] on any lane reaches the caller only after every queue is empty.
+   Also the attribute arena under an intern storm from four domains, the
+   way ingest workers intern. *)
 
+open Netcore
+open Bgp
 open Vbgp
 
 let checkb = Alcotest.(check bool)
@@ -33,6 +37,28 @@ let test_one_lane_inline () =
   checki "a run empties the queue" 5 (List.length !(Lanes.state l 0));
   Lanes.shutdown l;
   checki "shutdown of a one-lane pool is a no-op" 0 (Lanes.spawned l)
+
+(* The one-lane run is the sequential path of every tick's export flush:
+   with a [work] that allocates nothing, neither may [run]. The empty
+   interval calibrates the measurement itself. *)
+let test_one_lane_allocates_nothing () =
+  let l =
+    Lanes.create ~lanes:1 ~dummy:0
+      ~init:(fun _ -> ref 0)
+      ~work:(fun () sum item -> sum := !sum + item)
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  Lanes.push l 0 1;
+  Lanes.run l ();
+  Lanes.push l 0 2;
+  let empty = words (fun () -> ()) in
+  let run = words (fun () -> Lanes.run l ()) in
+  checki "the item ran" 3 !(Lanes.state l 0);
+  checki "no words allocated" 0 (int_of_float (run -. empty))
 
 (* Lane [i] gets items [10 i .. 10 i + i]. *)
 let fill l =
@@ -101,6 +127,83 @@ let test_rejects_zero () =
     (Invalid_argument "Lanes.create: lanes must be >= 1") (fun () ->
       ignore (make 0))
 
+exception Boom
+
+(* [work] raises on item 13, queued on lane [failing] among other items
+   on both lanes. [run] must re-raise it, and the next run must see only
+   its own items: no leftover from the failed run, no hang. *)
+let test_work_raises ~failing () =
+  let l =
+    Lanes.create ~lanes:2 ~dummy:(-1)
+      ~init:(fun _ -> ref [])
+      ~work:(fun tag log item ->
+        if item = 13 then raise Boom;
+        log := (tag, item) :: !log)
+  in
+  let other = 1 - failing in
+  List.iter (Lanes.push l failing) [ 11; 13; 15 ];
+  List.iter (Lanes.push l other) [ 21; 22 ];
+  Alcotest.check_raises "run re-raises the lane's exception" Boom (fun () ->
+      Lanes.run l "bad");
+  let ran lane tag =
+    List.rev
+      (List.filter_map
+         (fun (t, item) -> if t = tag then Some item else None)
+         !(Lanes.state l lane))
+  in
+  Alcotest.(check (list int))
+    "the failing lane ran up to the exception" [ 11 ] (ran failing "bad");
+  Alcotest.(check (list int))
+    "the other lane finished its queue" [ 21; 22 ] (ran other "bad");
+  Lanes.push l failing 1;
+  Lanes.push l other 2;
+  Lanes.run l "next";
+  Alcotest.(check (list int))
+    "next run: only its own item on the failing lane" [ 1 ]
+    (ran failing "next");
+  Alcotest.(check (list int))
+    "next run: only its own item on the other lane" [ 2 ] (ran other "next");
+  Lanes.shutdown l
+
+(* -- attribute arena across domains ------------------------------------------------ *)
+
+(* The i-th of [distinct] overlapping attribute sets (path, next hop and
+   MED vary with i). *)
+let stress_attrs ~distinct i =
+  let i = i mod distinct in
+  Attr.origin_attrs
+    ~as_path:
+      (Aspath.of_asns
+         [ Asn.of_int (1000 + i); Asn.of_int (2000 + (i * 7 mod 97)) ])
+    ~next_hop:(Ipv4.of_int32 (Int32.of_int (0x0a000000 lor i)))
+    ()
+  |> Attr.with_med (i mod 50)
+
+let test_arena_domain_stress () =
+  let arena = Attr_arena.create () in
+  let distinct = 64 and per_domain = 2_000 in
+  let storm () =
+    Array.init per_domain (fun i ->
+        Attr_arena.intern ~arena (stress_attrs ~distinct i))
+  in
+  let spawned = Array.init 3 (fun _ -> Domain.spawn storm) in
+  let own = storm () in
+  let others = Array.map Domain.join spawned in
+  (* Every domain resolved set [i] to the same canonical handle. *)
+  Array.iter
+    (fun handles ->
+      Array.iteri
+        (fun i h ->
+          checkb "same canonical handle across domains" true
+            (Attr_arena.equal h handles.(i)))
+        own)
+    others;
+  let s = Attr_arena.stats ~arena () in
+  checki "one allocation per distinct set" distinct s.Attr_arena.misses;
+  checki "everything else hit"
+    ((4 * per_domain) - distinct)
+    s.Attr_arena.hits
+
 let () =
   Alcotest.run "lanes"
     [
@@ -108,11 +211,24 @@ let () =
         [
           Alcotest.test_case "one lane runs inline, no domain" `Quick
             test_one_lane_inline;
+          Alcotest.test_case "one lane allocates nothing" `Quick
+            test_one_lane_allocates_nothing;
           Alcotest.test_case "shutdown is idempotent, a later run respawns"
             `Quick test_shutdown_respawn;
           Alcotest.test_case "queue high-water marks are kept" `Quick
             test_depth_max;
           Alcotest.test_case "fewer than one lane rejected" `Quick
             test_rejects_zero;
+          Alcotest.test_case "work raising on lane 0 reaches the caller"
+            `Quick
+            (test_work_raises ~failing:0);
+          Alcotest.test_case "work raising on lane 1 reaches the caller"
+            `Quick
+            (test_work_raises ~failing:1);
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "4-domain intern storm converges" `Quick
+            test_arena_domain_stress;
         ] );
     ]
