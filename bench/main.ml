@@ -7,8 +7,13 @@
    or a single one by name:
 
      dune exec bench/main.exe -- fig6a fig6b throughput amsix table1 census
-                                 security ratelimit burst fleet ablate micro
-                                 flap intern fwd fullscale
+                                 security ratelimit fleet ablate fwd
+                                 ingest-par export-par fullscale
+
+   [--smoke] shrinks the runs and checks their headline numbers, exiting
+   non-zero when one fails; [make check] runs
+
+     dune exec bench/main.exe -- --smoke fwd ingest-par export-par fullscale
 
    Paper-vs-measured numbers for each experiment are recorded in
    EXPERIMENTS.md. Absolute numbers differ from the paper's (their substrate
@@ -25,31 +30,19 @@ let pfx = Prefix.of_string_exn
 
 let section title = Fmt.pr "@.=== %s ===@." title
 
-(* -- machine-readable output (--json) and CI smoke mode (--smoke) --------- *)
+(* -- smoke mode (--smoke) ------------------------------------------------- *)
 
-let json_out : string option ref = ref None
+(* [--smoke] runs each experiment at a small size and checks what it
+   measures: [expect] keeps every failed check, and the run prints them
+   and exits 1 at the end. Full-size runs only report. *)
 let smoke = ref false
-let records : (string * string * float * string) list ref = ref []
+let smoke_failures = ref []
 
-(* Record a headline metric; written as JSON when --json is given. *)
-let record ~experiment ~metric ~unit_ value =
-  records := (experiment, metric, value, unit_) :: !records
-
-let write_json path =
-  let oc = open_out path in
-  let rows = List.rev !records in
-  Printf.fprintf oc "[\n";
-  List.iteri
-    (fun i (experiment, metric, value, unit_) ->
-      Printf.fprintf oc
-        "  {\"experiment\": %S, \"metric\": %S, \"value\": %.6g, \"unit\": \
-         %S}%s\n"
-        experiment metric value unit_
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "]\n";
-  close_out oc;
-  Fmt.pr "@.wrote %d metric records to %s@." (List.length rows) path
+let expect ok fmt =
+  Fmt.kstr
+    (fun what ->
+      if !smoke && not ok then smoke_failures := what :: !smoke_failures)
+    fmt
 
 let words_to_mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6
 
@@ -160,18 +153,6 @@ let fig6a () =
       let dp_mb = words_to_mb (Obj.reachable_words (Obj.repr dp)) in
       let dpd = build_data_plane_with_default n in
       let dpd_mb = words_to_mb (Obj.reachable_words (Obj.repr dpd)) in
-      record ~experiment:"fig6a"
-        ~metric:(Printf.sprintf "control_plane_bytes_%d" n)
-        ~unit_:"bytes" (cp_mb *. 1e6);
-      record ~experiment:"fig6a"
-        ~metric:(Printf.sprintf "control_plane_shared_bytes_%d" n)
-        ~unit_:"bytes" (cps_mb *. 1e6);
-      record ~experiment:"fig6a"
-        ~metric:(Printf.sprintf "data_plane_bytes_%d" n)
-        ~unit_:"bytes" (dp_mb *. 1e6);
-      record ~experiment:"fig6a"
-        ~metric:(Printf.sprintf "data_plane_default_bytes_%d" n)
-        ~unit_:"bytes" (dpd_mb *. 1e6);
       per_route := (n, cp_mb, cps_mb, dp_mb, dpd_mb) :: !per_route;
       Fmt.pr "%-10d %-16s %-16s %-22s %-26s@." n
         (Fmt.str "%.1f MB" cp_mb)
@@ -187,10 +168,6 @@ let fig6a () =
       let cps_bytes = cps2 *. 1e6 /. float_of_int n2 in
       let dp_bytes = dp2 *. 1e6 /. float_of_int n2 in
       let dpd_bytes = dpd2 *. 1e6 /. float_of_int n2 in
-      record ~experiment:"fig6a" ~metric:"bytes_per_route" ~unit_:"bytes"
-        cp_bytes;
-      record ~experiment:"fig6a" ~metric:"bytes_per_route_shared"
-        ~unit_:"bytes" cps_bytes;
       Fmt.pr
         "per-route cost: control=%.0f B, shared-attrs control=%.0f B, \
          +data-plane=%.0f B, +default=%.0f B (paper control plane: 327 B)@."
@@ -803,185 +780,6 @@ let ratelimit () =
     "average allowed rate: one update per ten minutes per (prefix, PoP)@."
 
 (* ------------------------------------------------------------------------- *)
-(* Microbenchmarks (Bechamel): the primitives the figures are built on.      *)
-(* ------------------------------------------------------------------------- *)
-
-(* A router with a 10k-route neighbor table for data-plane forwarding
-   benchmarks, and a frame generator aimed at it ([flow] selects one of
-   64 destination addresses, all covered by the table). *)
-let make_fwd_router ?data ?flow_cache () =
-  let router, neighbor_id =
-    make_bench_router ?data ?flow_cache ~experiments:0 ~mesh:false ()
-  in
-  for i = 0 to 9_999 do
-    Vbgp.Router.process_neighbor_update router ~neighbor_id
-      (Msg.update ~attrs:(synth_attrs i)
-         ~announced:[ Msg.nlri (synth_prefix i) ]
-         ())
-  done;
-  (router, neighbor_id)
-
-let fwd_frame_to router neighbor_id ~flow =
-  {
-    Eth.dst =
-      (match Vbgp.Router.neighbor router neighbor_id with
-      | Some ns -> ns.Vbgp.Router.info.Vbgp.Neighbor.virtual_mac
-      | None -> Mac.zero);
-    src = Mac.local ~pool:0xe0 1;
-    ethertype = Eth.Ipv4;
-    payload =
-      Ipv4_packet.encode
-        (Ipv4_packet.make ~src:(ip "184.164.224.1")
-           ~dst:(Prefix.host (synth_prefix (4257 + (flow mod 64))) 9)
-           ~protocol:Ipv4_packet.Udp "x");
-  }
-
-let micro () =
-  section "microbenchmarks (bechamel)";
-  let open Bechamel in
-  let sample_update =
-    Msg.update ~attrs:(synth_attrs 7)
-      ~announced:[ Msg.nlri (synth_prefix 7) ]
-      ()
-  in
-  let encoded = Codec.encode (Msg.Update sample_update) in
-  let lookup_table =
-    let t = ref Ptrie.V4.empty in
-    for i = 0 to 9_999 do
-      t := Ptrie.V4.add (synth_prefix i) i !t
-    done;
-    !t
-  in
-  let lookup_addr = Prefix.host (synth_prefix 4321) 1 in
-  (* The same 10k-route table behind the FIB's destination cache: after
-     the first packet of a flow, lookups skip the trie entirely. *)
-  let fib10k =
-    let f = Rib.Fib.create () in
-    for i = 0 to 9_999 do
-      Rib.Fib.insert f (synth_prefix i)
-        { Rib.Fib.next_hop = ip "100.64.0.1"; neighbor = 1 }
-    done;
-    f
-  in
-  let fib_addr = Prefix.host (synth_prefix 4321) 1 in
-  let candidates =
-    List.init 10 (fun i ->
-        Rib.Route.make ~prefix:(synth_prefix 1) ~attrs:(synth_attrs i)
-          ~source:
-            (Rib.Route.source
-               ~peer_ip:(Ipv4.of_int32 (Int32.of_int (0x01010101 + i)))
-               ~peer_asn:(asn (100 + i)) ())
-          ())
-  in
-  let enforcer =
-    Vbgp.Control_enforcer.create ~platform_asns:[ asn 47065 ] ()
-  in
-  let grant =
-    Vbgp.Control_enforcer.grant ~asns:[ asn 61574 ]
-      ~prefixes:[ pfx "184.164.224.0/24" ]
-      ~caps:Vbgp.Experiment_caps.(default |> with_update_budget max_int)
-      "micro"
-  in
-  let exp_update =
-    Msg.update
-      ~attrs:
-        (Attr.origin_attrs
-           ~as_path:(Aspath.of_asns [ asn 61574 ])
-           ~next_hop:(ip "184.164.224.1") ())
-      ~announced:[ Msg.nlri (pfx "184.164.224.0/24") ]
-      ()
-  in
-  let frame =
-    Eth.encode
-      {
-        Eth.dst = Mac.local ~pool:1 1;
-        src = Mac.local ~pool:1 2;
-        ethertype = Eth.Ipv4;
-        payload =
-          Ipv4_packet.encode
-            (Ipv4_packet.make ~src:(ip "1.1.1.1") ~dst:(ip "2.2.2.2")
-               ~protocol:Ipv4_packet.Udp "data");
-      }
-  in
-  (* The full data-plane fast path: one flow against a 10k-route table,
-     repeated — with the flow cache (the steady state), without it (the
-     historical slow path), and the stateless enforcement head alone. *)
-  let fwd_router, fwd_neighbor_id = make_fwd_router () in
-  let fwd_frame = fwd_frame_to fwd_router fwd_neighbor_id ~flow:64 in
-  let fwd_cold_router, fwd_cold_id = make_fwd_router ~flow_cache:false () in
-  let fwd_cold_frame = fwd_frame_to fwd_cold_router fwd_cold_id ~flow:64 in
-  let stateless_chain =
-    let d = Vbgp.Data_enforcer.create () in
-    Vbgp.Data_enforcer.add_filter d
-      (Vbgp.Data_enforcer.source_validation
-         ~owner_of:(fun a ->
-           if Prefix.mem a (pfx "184.164.224.0/24") then Some "bench1"
-           else None)
-         ());
-    d
-  in
-  let stateless_meta = { Vbgp.Data_enforcer.ingress = "bench1" } in
-  let stateless_packet =
-    Ipv4_packet.make ~src:(ip "184.164.224.1")
-      ~dst:(Prefix.host (synth_prefix 4321) 9)
-      ~protocol:Ipv4_packet.Udp "x"
-  in
-  let tests =
-    Test.make_grouped ~name:"peering"
-      [
-        Test.make ~name:"codec-encode-update"
-          (Staged.stage (fun () -> Codec.encode (Msg.Update sample_update)));
-        Test.make ~name:"codec-decode-update"
-          (Staged.stage (fun () -> Codec.decode_exn encoded));
-        Test.make ~name:"trie-longest-match-10k"
-          (Staged.stage (fun () -> Ptrie.lookup_v4 lookup_addr lookup_table));
-        Test.make ~name:"fib-lookup-10k-cached"
-          (Staged.stage (fun () -> Rib.Fib.lookup fib10k fib_addr));
-        Test.make ~name:"decision-best-of-10"
-          (Staged.stage (fun () -> Rib.Decision.best candidates));
-        Test.make ~name:"enforcer-check"
-          (Staged.stage (fun () ->
-               Vbgp.Control_enforcer.check enforcer ~now:0. ~pop:"p" grant
-                 exp_update));
-        Test.make ~name:"eth+ipv4-decode"
-          (Staged.stage (fun () ->
-               match Eth.decode frame with
-               | Ok f -> ignore (Ipv4_packet.decode f.Eth.payload)
-               | Error _ -> ()));
-        Test.make ~name:"data-plane-forward-cached"
-          (Staged.stage (fun () ->
-               Vbgp.Router.forward_experiment_frame fwd_router
-                 ~neighbor_id:fwd_neighbor_id fwd_frame));
-        Test.make ~name:"data-plane-forward-cold"
-          (Staged.stage (fun () ->
-               Vbgp.Router.forward_experiment_frame fwd_cold_router
-                 ~neighbor_id:fwd_cold_id fwd_cold_frame));
-        Test.make ~name:"enforcer-check-stateless"
-          (Staged.stage (fun () ->
-               Vbgp.Data_enforcer.check stateless_chain ~now:0.
-                 ~meta:stateless_meta stateless_packet));
-      ]
-  in
-  let cfg =
-    if !smoke then Benchmark.cfg ~limit:20 ~quota:(Time.second 0.02) ()
-    else Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ()
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ ns ] ->
-          record ~experiment:"micro" ~metric:name ~unit_:"ns/op" ns;
-          Fmt.pr "  %-36s %10.0f ns/op@." name ns
-      | _ -> Fmt.pr "  %-36s (no estimate)@." name)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-
-(* ------------------------------------------------------------------------- *)
 (* Parallel-experiment scaling: update processing cost vs connected         *)
 (* experiments (the platform typically hosts 3-6 concurrently, §4.6).       *)
 (* ------------------------------------------------------------------------- *)
@@ -1009,91 +807,6 @@ let fleet () =
     [ 0; 1; 2; 4; 8; 16 ];
   Fmt.pr
     "cost grows linearly with the ADD-PATH fan-out; at the paper's typical 3-6 concurrent experiments the router keeps >100k upd/s of headroom@."
-
-(* ------------------------------------------------------------------------- *)
-(* Update bursts: the batched dirty-prefix re-export queue vs eager         *)
-(* per-update re-export (flush after every update).                         *)
-(* ------------------------------------------------------------------------- *)
-
-let burst () =
-  section "update bursts: batched dirty-prefix re-export";
-  let caps = Vbgp.Experiment_caps.(default |> with_update_budget max_int) in
-  let n_prefixes = 16 and per_prefix = 100 in
-  (* More-specifics of the experiment's /24 allocation. *)
-  let prefixes =
-    Array.init n_prefixes (fun i ->
-        pfx (Printf.sprintf "184.164.224.%d/28" (i * 16)))
-  in
-  let mk_update p j =
-    Msg.update
-      ~attrs:
-        (Attr.origin_attrs
-           ~as_path:(Aspath.of_asns [ asn 61574 ])
-           ~next_hop:(ip "184.164.224.1") ()
-        |> Attr.with_med (j mod 100))
-      ~announced:[ Msg.nlri p ]
-      ()
-  in
-  let total = n_prefixes * per_prefix in
-  let run ~eager =
-    let router, _ = make_bench_router ~caps ~experiments:1 ~mesh:false () in
-    let c = Vbgp.Router.counters router in
-    let c0 = c.Vbgp.Router.reexport_computations in
-    let u0 = c.Vbgp.Router.updates_to_neighbors in
-    let nl0 = c.Vbgp.Router.nlri_to_neighbors in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun p ->
-        for j = 1 to per_prefix do
-          (match
-             Vbgp.Router.process_experiment_update router ~experiment:"bench1"
-               (mk_update p j)
-           with
-          | Ok () -> ()
-          | Error e -> failwith (String.concat "; " e));
-          if eager then Vbgp.Router.flush_reexports router
-        done)
-      prefixes;
-    Vbgp.Router.flush_reexports router;
-    let dt = Unix.gettimeofday () -. t0 in
-    ( dt,
-      c.Vbgp.Router.reexport_computations - c0,
-      c.Vbgp.Router.updates_to_neighbors - u0,
-      c.Vbgp.Router.nlri_to_neighbors - nl0 )
-  in
-  let dt_eager, comp_eager, msgs_eager, _ = run ~eager:true in
-  let dt_batched, comp_batched, msgs_batched, nlri_batched =
-    run ~eager:false
-  in
-  Fmt.pr "%d updates (%d prefixes x %d updates each), 1 neighbor:@." total
-    n_prefixes per_prefix;
-  Fmt.pr
-    "  eager (flush per update):  %.2f us/update, %d facing computations, \
-     %d UPDATEs@."
-    (dt_eager /. float_of_int total *. 1e6)
-    comp_eager msgs_eager;
-  Fmt.pr
-    "  batched (flush per tick):  %.2f us/update, %d facing computations, \
-     %d UPDATEs (%d NLRI)@."
-    (dt_batched /. float_of_int total *. 1e6)
-    comp_batched msgs_batched nlri_batched;
-  let packing =
-    float_of_int nlri_batched /. float_of_int (max 1 msgs_batched)
-  in
-  Fmt.pr
-    "  the queue dedupes %.0fx of the facing computation on bursts to the \
-     same prefix; NLRI packing ships %.1f routes per UPDATE@."
-    (float_of_int comp_eager /. float_of_int (max 1 comp_batched))
-    packing;
-  record ~experiment:"burst" ~metric:"reexport_computations_eager"
-    ~unit_:"computations" (float_of_int comp_eager);
-  record ~experiment:"burst" ~metric:"reexport_computations_batched"
-    ~unit_:"computations" (float_of_int comp_batched);
-  record ~experiment:"burst" ~metric:"updates_sent_eager" ~unit_:"messages"
-    (float_of_int msgs_eager);
-  record ~experiment:"burst" ~metric:"updates_sent_batched" ~unit_:"messages"
-    (float_of_int msgs_batched);
-  record ~experiment:"burst" ~metric:"packing_ratio" ~unit_:"ratio" packing
 
 (* ------------------------------------------------------------------------- *)
 (* Ablations: the design choices DESIGN.md calls out, each against its      *)
@@ -1215,217 +928,39 @@ let ablate () =
     t_forward (1e3 /. t_forward)
 
 (* ------------------------------------------------------------------------- *)
-(* Flap: wire cost of a neighbor session flap, with and without graceful     *)
-(* restart. GR retains the neighbor's routes as stale across the flap and    *)
-(* sweeps against the replayed table, so experiments hear nothing; a hard    *)
-(* drop storms one withdrawal per route and re-announces everything.         *)
-(* ------------------------------------------------------------------------- *)
-
-let flap () =
-  section "flap: withdrawal storm on session loss, GR on vs off";
-  let n = if !smoke then 200 else 2_000 in
-  let null_handlers =
-    {
-      Session.on_update = ignore;
-      on_established = ignore;
-      on_down = ignore;
-      on_route_refresh = (fun ~afi:_ ~safi:_ -> ());
-    }
-  in
-  let run ~gr_window =
-    let engine = Sim.Engine.create () in
-    let global_pool =
-      Vbgp.Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
-    in
-    let router =
-      Vbgp.Router.create ~engine ~name:"flap" ~asn:(asn 47065)
-        ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-        ~local_pool:(pfx "127.65.0.0/16") ~global_pool
-        ~gr_restart_time:gr_window ()
-    in
-    Vbgp.Router.activate router;
-    let _neighbor_id, npair =
-      Vbgp.Router.add_neighbor router ~asn:(asn 100) ~ip:(ip "100.64.0.1")
-        ~kind:Vbgp.Neighbor.Transit ~remote_id:(ip "100.64.0.1") ()
-    in
-    (* The neighbor replays its full table, closed with End-of-RIB, on
-       every establishment — the behavior of a GR-aware peer. *)
-    Session.set_handlers npair.Sim.Bgp_wire.active
-      {
-        null_handlers with
-        Session.on_established =
-          (fun () ->
-            for i = 0 to n - 1 do
-              Session.send_update npair.Sim.Bgp_wire.active
-                (Msg.update ~attrs:(synth_attrs i)
-                   ~announced:[ Msg.nlri (synth_prefix i) ]
-                   ())
-            done;
-            Session.send_update npair.Sim.Bgp_wire.active (Msg.update ()));
-      };
-    Sim.Bgp_wire.start npair;
-    let grant =
-      Vbgp.Control_enforcer.grant ~asns:[ asn 61574 ]
-        ~prefixes:[ pfx "184.164.224.0/24" ]
-        "flap"
-    in
-    let epair =
-      Vbgp.Router.connect_experiment router ~grant
-        ~mac:(Mac.local ~pool:0xe0 1) ()
-    in
-    let withdrawals = ref 0 and messages = ref 0 in
-    Session.set_handlers epair.Sim.Bgp_wire.active
-      {
-        null_handlers with
-        Session.on_update =
-          (fun u ->
-            if not (Msg.is_end_of_rib u) then begin
-              incr messages;
-              withdrawals := !withdrawals + List.length u.Msg.withdrawn
-            end);
-      };
-    Sim.Bgp_wire.start epair;
-    Sim.Engine.run_until engine 30.;
-    (* Initial sync is not the measurement. *)
-    withdrawals := 0;
-    messages := 0;
-    let fault = Sim.Fault.create engine in
-    Sim.Fault.kill_pair fault ~at:1.0 npair;
-    Sim.Engine.run_until engine 120.;
-    (!withdrawals, !messages)
-  in
-  let w_gr, m_gr = run ~gr_window:120 in
-  let w_hard, m_hard = run ~gr_window:0 in
-  Fmt.pr "  heard by the experiment across a neighbor flap (%d routes):@." n;
-  Fmt.pr "  %-28s %6d withdrawals in %6d updates@." "with graceful restart"
-    w_gr m_gr;
-  Fmt.pr "  %-28s %6d withdrawals in %6d updates@." "without (hard drop)"
-    w_hard m_hard;
-  record ~experiment:"flap" ~metric:"withdrawals_with_gr" ~unit_:"prefixes"
-    (float_of_int w_gr);
-  record ~experiment:"flap" ~metric:"withdrawals_without_gr" ~unit_:"prefixes"
-    (float_of_int w_hard);
-  record ~experiment:"flap" ~metric:"updates_with_gr" ~unit_:"messages"
-    (float_of_int m_gr);
-  record ~experiment:"flap" ~metric:"updates_without_gr" ~unit_:"messages"
-    (float_of_int m_hard)
-
-(* ------------------------------------------------------------------------- *)
-(* Intern: the hash-consing attribute arena in isolation — hit rate on a    *)
-(* repeated-attribute feed, bytes/route with and without sharing, and the   *)
-(* packed-export fan-out (UPDATE messages per flushed burst).               *)
-(* ------------------------------------------------------------------------- *)
-
-let intern_bench () =
-  section "intern: hash-consed attribute arena";
-  let n = if !smoke then 20_000 else 200_000 in
-  let distinct = 1024 in
-  (* Hit rate: a feed of [n] routes drawing from [distinct] attribute
-     sets, the shape of a real table where many routes repeat the same
-     path attributes. Uses a private arena so the number is independent
-     of whatever earlier experiments interned globally. *)
-  let arena = Attr_arena.create () in
-  for i = 0 to n - 1 do
-    ignore (Attr_arena.intern ~arena (synth_attrs ~distinct i))
-  done;
-  let stats = Attr_arena.stats ~arena () in
-  let interns = stats.Attr_arena.hits + stats.Attr_arena.misses in
-  let hit_rate =
-    100. *. float_of_int stats.Attr_arena.hits /. float_of_int (max 1 interns)
-  in
-  let shared = build_control_plane ~attrs_of:(synth_attrs ~distinct) n in
-  let shared_bytes =
-    float_of_int (Obj.reachable_words (Obj.repr shared) * 8) /. float_of_int n
-  in
-  let plain = build_control_plane n in
-  let plain_bytes =
-    float_of_int (Obj.reachable_words (Obj.repr plain) * 8) /. float_of_int n
-  in
-  Fmt.pr
-    "%d routes over %d distinct attribute sets: %.1f%% arena hit rate (%d \
-     hits / %d interns)@."
-    n distinct hit_rate stats.Attr_arena.hits interns;
-  Fmt.pr "  bytes/route, every route its own attrs:   %.0f@." plain_bytes;
-  Fmt.pr "  bytes/route, attrs shared via the arena:  %.0f (%.1fx smaller)@."
-    shared_bytes
-    (plain_bytes /. shared_bytes);
-  record ~experiment:"intern" ~metric:"arena_hit_rate" ~unit_:"percent"
-    hit_rate;
-  record ~experiment:"intern" ~metric:"bytes_per_route_unshared" ~unit_:"bytes"
-    plain_bytes;
-  record ~experiment:"intern" ~metric:"bytes_per_route_shared" ~unit_:"bytes"
-    shared_bytes;
-  (* Striped-lock observability: on this sequential feed every intern
-     takes exactly one stripe lock and never contends, so the contended
-     counter gates at a hard zero; multi-domain intern traffic (the
-     parallel ingest lane) is where these counters earn their keep. *)
-  Fmt.pr "  stripe locks: %d acquisitions, %d contended@."
-    stats.Attr_arena.locks stats.Attr_arena.contended;
-  record ~experiment:"intern" ~metric:"arena_lock_acquisitions" ~unit_:"locks"
-    (float_of_int stats.Attr_arena.locks);
-  record ~experiment:"intern" ~metric:"arena_lock_contended" ~unit_:"count"
-    (float_of_int stats.Attr_arena.contended);
-  (* The per-domain front cache in front of the same feed: a hit skips
-     the stripe lock entirely, so its hit rate bounds how much arena
-     traffic the parallel ingest workers generate. *)
-  let fc_arena = Attr_arena.create () in
-  let front = Attr_arena.Front.create ~arena:fc_arena () in
-  for i = 0 to n - 1 do
-    ignore (Attr_arena.Front.intern front (synth_attrs ~distinct i))
-  done;
-  let fc_hits = Attr_arena.Front.hits front in
-  let fc_total = fc_hits + Attr_arena.Front.misses front in
-  let front_hit_rate =
-    100. *. float_of_int fc_hits /. float_of_int (max 1 fc_total)
-  in
-  Fmt.pr "  front cache: %.1f%% hit rate (%d hits / %d interns)@."
-    front_hit_rate fc_hits fc_total;
-  record ~experiment:"intern" ~metric:"front_cache_hit_rate" ~unit_:"percent"
-    front_hit_rate;
-  (* Packed export: a burst of announcements sharing one interned
-     outbound attribute set leaves as a single multi-NLRI UPDATE. *)
-  let caps = Vbgp.Experiment_caps.(default |> with_update_budget max_int) in
-  let router, _ = make_bench_router ~caps ~experiments:1 ~mesh:false () in
-  let c = Vbgp.Router.counters router in
-  let c0 = c.Vbgp.Router.reexport_computations in
-  let u0 = c.Vbgp.Router.updates_to_neighbors in
-  let nl0 = c.Vbgp.Router.nlri_to_neighbors in
-  let burst_attrs =
-    Attr.origin_attrs
-      ~as_path:(Aspath.of_asns [ asn 61574 ])
-      ~next_hop:(ip "184.164.224.1") ()
-  in
-  for i = 0 to 15 do
-    match
-      Vbgp.Router.process_experiment_update router ~experiment:"bench1"
-        (Msg.update ~attrs:burst_attrs
-           ~announced:
-             [ Msg.nlri (pfx (Printf.sprintf "184.164.224.%d/28" (i * 16))) ]
-           ())
-    with
-    | Ok () -> ()
-    | Error e -> failwith (String.concat "; " e)
-  done;
-  Vbgp.Router.flush_reexports router;
-  let computed = c.Vbgp.Router.reexport_computations - c0 in
-  let msgs = c.Vbgp.Router.updates_to_neighbors - u0 in
-  let nlri = c.Vbgp.Router.nlri_to_neighbors - nl0 in
-  let packing = float_of_int nlri /. float_of_int (max 1 msgs) in
-  Fmt.pr
-    "16-prefix burst, one shared attr set: %d facing computation(s), %d \
-     UPDATE(s) carrying %d NLRI (%.1f routes/UPDATE)@."
-    computed msgs nlri packing;
-  record ~experiment:"intern" ~metric:"burst_reexport_computations"
-    ~unit_:"computations" (float_of_int computed);
-  record ~experiment:"intern" ~metric:"burst_updates_sent" ~unit_:"messages"
-    (float_of_int msgs);
-  record ~experiment:"intern" ~metric:"burst_packing_ratio" ~unit_:"ratio"
-    packing
-
-(* ------------------------------------------------------------------------- *)
 (* Data-plane forwarding throughput: the flow cache vs the record slow     *)
 (* path (§3.2.2), with and without a stateful shaper tail (§4.7).          *)
 (* ------------------------------------------------------------------------- *)
+
+(* A router with a 10k-route neighbor table for data-plane forwarding
+   benchmarks, and a frame generator aimed at it ([flow] selects one of
+   64 destination addresses, all covered by the table). *)
+let make_fwd_router ?data ?flow_cache () =
+  let router, neighbor_id =
+    make_bench_router ?data ?flow_cache ~experiments:0 ~mesh:false ()
+  in
+  for i = 0 to 9_999 do
+    Vbgp.Router.process_neighbor_update router ~neighbor_id
+      (Msg.update ~attrs:(synth_attrs i)
+         ~announced:[ Msg.nlri (synth_prefix i) ]
+         ())
+  done;
+  (router, neighbor_id)
+
+let fwd_frame_to router neighbor_id ~flow =
+  {
+    Eth.dst =
+      (match Vbgp.Router.neighbor router neighbor_id with
+      | Some ns -> ns.Vbgp.Router.info.Vbgp.Neighbor.virtual_mac
+      | None -> Mac.zero);
+    src = Mac.local ~pool:0xe0 1;
+    ethertype = Eth.Ipv4;
+    payload =
+      Ipv4_packet.encode
+        (Ipv4_packet.make ~src:(ip "184.164.224.1")
+           ~dst:(Prefix.host (synth_prefix (4257 + (flow mod 64))) 9)
+           ~protocol:Ipv4_packet.Udp "x");
+  }
 
 let fwd () =
   section "data-plane forwarding: flow cache vs slow path";
@@ -1451,11 +986,8 @@ let fwd () =
   let pps_cached = drive hot_router hot_id in
   Fmt.pr "  %-32s %12.0f pps@." "flow cache" pps_cached;
   let c = Vbgp.Router.counters hot_router in
-  let hit_rate =
-    100.
-    *. float_of_int c.Vbgp.Router.flow_hits
-    /. float_of_int (c.Vbgp.Router.flow_hits + c.Vbgp.Router.flow_misses)
-  in
+  let hits = c.Vbgp.Router.flow_hits and misses = c.Vbgp.Router.flow_misses in
+  let hit_rate = 100. *. float_of_int hits /. float_of_int (hits + misses) in
   let shaped =
     let d = Vbgp.Data_enforcer.create () in
     Vbgp.Data_enforcer.add_filter d
@@ -1469,11 +1001,11 @@ let fwd () =
   Fmt.pr "  %-32s %12.0f pps@." "flow cache + shaper tail" pps_shaped;
   let speedup = pps_cached /. pps_cold in
   Fmt.pr "  cached/cold speedup %.2fx, hit rate %.2f%%@." speedup hit_rate;
-  record ~experiment:"fwd" ~metric:"pps_cold" ~unit_:"pps" pps_cold;
-  record ~experiment:"fwd" ~metric:"pps_cached" ~unit_:"pps" pps_cached;
-  record ~experiment:"fwd" ~metric:"pps_cached_shaper" ~unit_:"pps" pps_shaped;
-  record ~experiment:"fwd" ~metric:"cached_speedup" ~unit_:"ratio" speedup;
-  record ~experiment:"fwd" ~metric:"flow_hit_rate" ~unit_:"percent" hit_rate
+  (* Each of the 64 flows misses exactly once (99.68% of 20k frames hit);
+     the cache must stay at least 3.15x faster than the slow path. *)
+  expect (misses = 64 && hits = n - 64)
+    "fwd: %d flow-cache misses in %d frames, expected 64" misses n;
+  expect (speedup >= 3.15) "fwd: cached/cold speedup %.2fx below 3.15x" speedup
 
 (* ------------------------------------------------------------------------- *)
 (* Parallel ingest lane: wire-format UPDATE batches hash-partitioned over   *)
@@ -1481,10 +1013,10 @@ let fwd () =
 (* and Adj-RIB-In writes; the single writer reconciles FIB + dirty queue    *)
 (* at the drain — vs the sequential batched path. Every pass re-announces   *)
 (* the table with a fresh MED so the unchanged short-circuit never fires    *)
-(* and each pass pays the full decode + intern + RIB + dirty cost. Gated:   *)
-(* the front-cache hit rate and the staging residual, which must be         *)
-(* exactly zero after the final drain. The 4-lane speedup ratio is recorded *)
-(* but not gated: on a 2-vCPU quota-throttled host it is noise.             *)
+(* and each pass pays the full decode + intern + RIB + dirty cost. The     *)
+(* smoke run checks the front-cache hit counts and the staging residual,    *)
+(* which must be exactly zero after the final drain. The 4-lane speedup is  *)
+(* printed, not checked: on a 2-vCPU quota-throttled host it is noise.      *)
 (* ------------------------------------------------------------------------- *)
 
 let ingest_par () =
@@ -1580,8 +1112,8 @@ let ingest_par () =
       /. (Unix.gettimeofday () -. t0)
     in
     (* Best of five timed passes, each with its own MED version so none
-       is short-circuited: the speedup ratio divides two noisy numbers
-       and is gated, so both sides get the widest honest sample. *)
+       is short-circuited: the speedup ratio divides two noisy numbers,
+       so both sides get the widest honest sample. *)
     let ups =
       List.fold_left
         (fun best k -> Float.max best (timed k))
@@ -1599,22 +1131,13 @@ let ingest_par () =
         (Printf.sprintf "ingest-par: %d-lane run hit %d decode errors"
            lanes st.Vbgp.Router.decode_errors);
     Vbgp.Router.shutdown_domains router;
-    Fmt.pr "  %-32s %12.0f updates/s@."
+    (* Per-lane queue high-water marks show whether the neighbor hash
+       starved a lane. *)
+    Fmt.pr "  %-32s %12.0f updates/s (queue high-water %a)@."
       (Printf.sprintf "%d lane%s" lanes
          (if lanes = 1 then "" else "s"))
-      ups;
-    record ~experiment:"ingest-par"
-      ~metric:(Printf.sprintf "upd_per_sec_%ddom" lanes)
-      ~unit_:"upd/s" ups;
-    (* Per-lane staging/ingress high-water marks: when the gated speedup
-       floor fails, these show from the JSON alone whether the neighbor
-       hash starved a lane. Informational (unit is not gated). *)
-    Array.iteri
-      (fun lane depth ->
-        record ~experiment:"ingest-par"
-          ~metric:
-            (Printf.sprintf "qdepth_max_%ddom_lane%d" lanes lane)
-          ~unit_:"items" (float_of_int depth))
+      ups
+      Fmt.(array ~sep:(any " ") int)
       st.Vbgp.Router.queue_depth_max;
     (ups, st)
   in
@@ -1631,12 +1154,18 @@ let ingest_par () =
     "  4-lane speedup %.2fx, front-cache hit rate %.2f%%, staging residual \
      %d@."
     speedup front_hit_rate st4.Vbgp.Router.staging_residual;
-  record ~experiment:"ingest-par" ~metric:"upd_per_sec_speedup_4dom"
-    ~unit_:"ratio" speedup;
-  record ~experiment:"ingest-par" ~metric:"ingest_front_hit_rate"
-    ~unit_:"percent" front_hit_rate;
-  record ~experiment:"ingest-par" ~metric:"staging_residual" ~unit_:"count"
-    (float_of_int st4.Vbgp.Router.staging_residual)
+  (* The lanes' front caches hit 74.6094% (2292 of 3072) of the 4-lane
+     run's interns, and the final drain leaves nothing staged. The
+     speedup is not checked: on a 2-vCPU quota-throttled host it is
+     noise. *)
+  expect
+    (st4.Vbgp.Router.front_hits = 2292 && st4.Vbgp.Router.front_misses = 780)
+    "ingest-par: front cache %d hits / %d misses, expected 2292 / 780"
+    st4.Vbgp.Router.front_hits st4.Vbgp.Router.front_misses;
+  expect
+    (st4.Vbgp.Router.staging_residual = 0)
+    "ingest-par: staging residual %d, expected 0"
+    st4.Vbgp.Router.staging_residual
 
 (* ------------------------------------------------------------------------- *)
 (* Export-par: the dirty-prefix flush toward neighbors across 1/2/4/8       *)
@@ -1752,22 +1281,13 @@ let export_par () =
            lanes st.Vbgp.Router.staged_residual);
     let fp = adj_out_fingerprint router ids in
     Vbgp.Router.shutdown_domains router;
-    Fmt.pr "  %-32s %12.0f prefix-flushes/s@."
+    (* Per-lane target-queue high-water marks show whether the neighbor
+       hash starved a lane. *)
+    Fmt.pr "  %-32s %12.0f prefix-flushes/s (queue high-water %a)@."
       (Printf.sprintf "%d lane%s" lanes
          (if lanes = 1 then "" else "s"))
-      pps;
-    record ~experiment:"export-par"
-      ~metric:(Printf.sprintf "flush_pfx_per_sec_%ddom" lanes)
-      ~unit_:"pfx/s" pps;
-    (* Per-lane target-queue high-water marks: when the gated speedup
-       floor fails, these show from the JSON alone whether the neighbor
-       hash starved a lane. Informational (unit is not gated). *)
-    Array.iteri
-      (fun lane depth ->
-        record ~experiment:"export-par"
-          ~metric:
-            (Printf.sprintf "xdepth_max_%ddom_lane%d" lanes lane)
-          ~unit_:"items" (float_of_int depth))
+      pps
+      Fmt.(array ~sep:(any " ") int)
       st.Vbgp.Router.lane_depth_max;
     (pps, st, fp)
   in
@@ -1795,14 +1315,15 @@ let export_par () =
      for %d messages), %.1f MB on the wire@."
     speedup hit_rate st4.Vbgp.Router.wire_cache_misses wc_total
     (float_of_int st4.Vbgp.Router.wire_bytes_out /. 1e6);
-  record ~experiment:"export-par" ~metric:"flush_speedup_4dom" ~unit_:"ratio"
-    speedup;
-  record ~experiment:"export-par" ~metric:"wire_cache_hit_rate"
-    ~unit_:"percent" hit_rate;
-  record ~experiment:"export-par" ~metric:"staged_residual" ~unit_:"count"
-    (float_of_int st4.Vbgp.Router.staged_residual);
-  record ~experiment:"export-par" ~metric:"wire_bytes_out_4dom" ~unit_:"b"
-    (float_of_int st4.Vbgp.Router.wire_bytes_out)
+  (* Encode-once: six attribute blocks serve the 4-lane run's 192
+     messages (96.875%). The 4-lane flush may cost at most 1/0.54 of the
+     sequential one. *)
+  expect
+    (st4.Vbgp.Router.wire_cache_misses = 6 && wc_total = 192)
+    "export-par: %d blocks encoded for %d messages, expected 6 for 192"
+    st4.Vbgp.Router.wire_cache_misses wc_total;
+  expect (speedup >= 0.54) "export-par: 4-lane flush speedup %.2fx below 0.54x"
+    speedup
 
 (* ------------------------------------------------------------------------- *)
 (* Fullscale: a full-table control plane — 500k+ routes across O(100)       *)
@@ -2062,123 +1583,15 @@ let fullscale () =
      wire, 1 attribute block per facing group@."
     flush_ns nbr_count
     (float_of_int s2.Vbgp.Router.wire_bytes_out /. 1e3);
-  record ~experiment:"fullscale" ~metric:"route_count" ~unit_:"routes"
-    (float_of_int routes);
-  record ~experiment:"fullscale" ~metric:"rib_memory_bytes" ~unit_:"b"
-    (float_of_int rib_bytes);
-  record ~experiment:"fullscale" ~metric:"bytes_per_route" ~unit_:"bytes"
-    bytes_per_route;
-  record ~experiment:"fullscale" ~metric:"updates_per_sec" ~unit_:"rate"
-    updates_per_sec;
-  record ~experiment:"fullscale" ~metric:"convergence_s" ~unit_:"s" convergence;
-  record ~experiment:"fullscale" ~metric:"export_packing_ratio" ~unit_:"ratio"
-    packing;
-  record ~experiment:"fullscale" ~metric:"flush_ns" ~unit_:"ns" flush_ns;
-  record ~experiment:"fullscale" ~metric:"wire_bytes_out" ~unit_:"b"
-    (float_of_int s2.Vbgp.Router.wire_bytes_out)
-
-(* ------------------------------------------------------------------------- *)
-(* Failover drill: kill a whole PoP, time health detection and the          *)
-(* post-restart reconvergence in deterministic simulated seconds. The sim   *)
-(* clock makes these numbers exactly reproducible, so they gate in          *)
-(* bench-diff alongside the count/ratio metrics.                            *)
-(* ------------------------------------------------------------------------- *)
-
-let drill () =
-  section "failover drill: PoP kill/restart, detection and reconvergence";
-  let open Peering in
-  let seed = 3 in
-  let graph =
-    Topo.As_graph.generate
-      ~params:{ Topo.As_graph.default_gen with transit = 6; stub = 24; seed }
-      ()
-  in
-  let stubs =
-    List.filter
-      (fun a ->
-        match Topo.As_graph.node graph a with
-        | Some n -> n.Topo.As_graph.tier = 3
-        | None -> false)
-      (Topo.As_graph.asns graph)
-    |> List.sort Asn.compare
-  in
-  let origins =
-    Topo.Internet.assign_prefixes
-      ~base:(pfx "192.168.0.0/16")
-      (List.filteri (fun i _ -> i < 12) stubs)
-  in
-  let internet = Topo.Internet.create graph ~origins in
-  let platform = Platform.create () in
-  let pop_a = Platform.add_pop platform ~name:"pop01" ~site:Pop.Ixp () in
-  let pop_b = Platform.add_pop platform ~name:"pop02" ~site:Pop.Ixp () in
-  ignore
-    (Platform.populate_pop platform ~pop:pop_a ~internet ~transits:2 ~peers:1
-       ());
-  ignore
-    (Platform.populate_pop platform ~pop:pop_b ~internet ~transits:2 ~peers:1
-       ());
-  Platform.connect_backbone platform;
-  Platform.run platform ~seconds:10.;
-  let grant =
-    match
-      Platform.submit platform
-        (Approval.proposal ~title:"bench" ~team:"bench" ~goals:"drill" ())
-    with
-    | Platform.Granted r -> r.Approval.grant
-    | Platform.Denied reason -> failwith reason
-  in
-  let kit = Toolkit.create ~engine:(Platform.engine platform) ~grant in
-  ignore (Toolkit.open_tunnel kit pop_a);
-  ignore (Toolkit.open_tunnel kit pop_b);
-  Toolkit.start_session kit ~pop:"pop01";
-  Toolkit.start_session kit ~pop:"pop02";
-  Platform.run platform ~seconds:10.;
-  Toolkit.announce kit (List.hd grant.Vbgp.Control_enforcer.prefixes);
-  Platform.run platform ~seconds:10.;
-  (match Failover.reapply platform (Config_model.of_platform platform) with
-  | Controller.Multi.Committed_all _ -> ()
-  | _ -> failwith "drill: initial intent apply failed");
-  let health = Health.create platform in
-  Health.start health;
-  Platform.run platform ~seconds:1.25;
-  let kill_time = Sim.Engine.now (Platform.engine platform) in
-  Failover.kill_pop platform ~kits:[ kit ] ~name:"pop02" ();
-  Platform.run platform ~seconds:15.;
-  let failed_at =
-    match
-      List.find_opt
-        (fun (_, p, s) -> String.equal p "pop02" && s = Health.Failed)
-        (Health.transitions health)
-    with
-    | Some (t, _, _) -> t
-    | None -> failwith "drill: PoP never declared Failed"
-  in
-  let restart_time = Sim.Engine.now (Platform.engine platform) in
-  Failover.restart_pop platform ~kits:[ kit ] ~name:"pop02" ();
-  Platform.run platform ~seconds:45.;
-  let healthy_at =
-    match
-      List.find_opt
-        (fun (t, p, s) ->
-          String.equal p "pop02" && s = Health.Healthy && t > restart_time)
-        (Health.transitions health)
-    with
-    | Some (t, _, _) -> t
-    | None -> failwith "drill: PoP never recovered to Healthy"
-  in
-  (match Failover.reapply platform (Config_model.of_platform platform) with
-  | Controller.Multi.Committed_all _ -> ()
-  | _ -> failwith "drill: post-restart reapply failed");
-  Health.stop health;
-  let detect_s = failed_at -. kill_time in
-  let reconverge_s = healthy_at -. restart_time in
-  Fmt.pr "detection: Failed %.2f simulated s after the kill@." detect_s;
-  Fmt.pr "reconvergence: Healthy %.2f simulated s after the restart@."
-    reconverge_s;
-  record ~experiment:"drill" ~metric:"failover_detect_s" ~unit_:"sim_s"
-    detect_s;
-  record ~experiment:"drill" ~metric:"failover_reconverge_s" ~unit_:"sim_s"
-    reconverge_s
+  (* The smoke table: 10500 routes in exactly 2555144 B of RIB (243.347
+     B/route on a 64-bit runtime), and a sustained ingest of at least 54k
+     updates/s. *)
+  expect
+    (routes = 10_500 && rib_bytes = 2_555_144)
+    "fullscale: %d routes in %d B of RIB, expected 10500 in 2555144 B" routes
+    rib_bytes;
+  expect (updates_per_sec >= 54_000.)
+    "fullscale: %.0f updates/s below 54000" updates_per_sec
 
 let experiments =
   [
@@ -2190,28 +1603,17 @@ let experiments =
     ("census", census);
     ("security", security);
     ("ratelimit", ratelimit);
-    ("burst", burst);
     ("fleet", fleet);
     ("ablate", ablate);
-    ("micro", micro);
-    ("flap", flap);
-    ("intern", intern_bench);
     ("fwd", fwd);
     ("ingest-par", ingest_par);
     ("export-par", export_par);
     ("fullscale", fullscale);
-    ("drill", drill);
   ]
 
 let () =
   let rec parse acc = function
     | [] -> List.rev acc
-    | "--json" :: path :: rest ->
-        json_out := Some path;
-        parse acc rest
-    | [ "--json" ] ->
-        Fmt.epr "--json requires an output path@.";
-        exit 1
     | "--smoke" :: rest ->
         smoke := true;
         parse acc rest
@@ -2231,4 +1633,8 @@ let () =
             (String.concat " " (List.map fst experiments));
           exit 1)
     requested;
-  match !json_out with Some path -> write_json path | None -> ()
+  match List.rev !smoke_failures with
+  | [] -> ()
+  | failures ->
+      List.iter (Fmt.epr "smoke check failed: %s@.") failures;
+      exit 1

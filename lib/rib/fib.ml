@@ -79,12 +79,6 @@ let lookup t addr =
    explicitly. *)
 let generation t = Dcache.generation t.cache
 
-(* The trie value itself is an immutable persistent structure; mutation
-   replaces [t.trie] wholesale. Handing the current root out therefore
-   yields a consistent point-in-time snapshot; comparing two roots
-   physically tells whether a write changed the table. *)
-let trie t = t.trie
-
 let find t prefix = Ptrie.V4.find prefix t.trie
 
 let fold f t acc = Ptrie.V4.fold f t.trie acc

@@ -37,12 +37,6 @@ val generation : t -> int
     External caches stamp derived entries with it and treat a mismatch
     as invalidation. *)
 
-val trie : t -> entry Ptrie.V4.t
-(** The current trie root. The trie is persistent (mutation replaces the
-    root), so the returned value is an immutable point-in-time snapshot,
-    safe to walk from any domain; pair it with {!generation} to detect
-    staleness. *)
-
 val find : t -> Prefix.t -> entry option
 val fold : (Prefix.t -> entry -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 val clear : t -> unit

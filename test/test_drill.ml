@@ -198,11 +198,11 @@ let drill ~seed =
        (Health.transitions health)
    with
   | Some (t, _, _) ->
-      checkb
-        (Printf.sprintf "seed %d: failure detected within 5s (took %.1fs)"
-           seed (t -. kill_time))
-        true
-        (t -. kill_time <= 5.0)
+      (* Three missed 1 s probes: deterministic, so pinned exactly. *)
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "seed %d: failure detected 2.75 sim s after the kill"
+           seed)
+        2.75 (t -. kill_time)
   | None -> Alcotest.fail "no Failed transition recorded");
   let survivor = List.hd faulted.pops in
   (* Re-homing: the surviving PoP still announces the experiment prefix
@@ -245,6 +245,7 @@ let drill ~seed =
     true
     (Controller.Kernel.observe (Pop.kernel survivor) = survivor_snapshot);
   (* Restart, let BGP resync and health recover, then re-apply intent. *)
+  let restart_time = now faulted +. 1.0 in
   Sim.Fault.restart_pop fault ~at:1.0 ~pop:victim (fun () ->
       Failover.restart_pop faulted.platform ~kits:[ faulted.kit ]
         ~name:victim ());
@@ -254,6 +255,18 @@ let drill ~seed =
     (Printf.sprintf "seed %d: victim Healthy again after restart" seed)
     true
     (Health.status health ~pop:victim = Health.Healthy);
+  (* BGP resync plus two good probes, on this restart's probe phase. *)
+  (match
+     List.find_opt
+       (fun (t, p, s) ->
+         String.equal p victim && s = Health.Healthy && t > restart_time)
+       (Health.transitions health)
+   with
+  | Some (t, _, _) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "seed %d: Healthy 3 sim s after the restart" seed)
+        3.0 (t -. restart_time)
+  | None -> Alcotest.fail "no Healthy transition after the restart");
   (match Failover.reapply faulted.platform cfg with
   | Controller.Multi.Committed_all _ -> ()
   | Controller.Multi.Aborted { failed_pop; error; _ } ->

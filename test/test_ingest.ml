@@ -40,6 +40,7 @@ type fixture = {
       (** the experiment's view, keyed by (prefix, ADD-PATH id) *)
   announces : (Prefix.t * int option) list ref;  (** announce NLRIs heard *)
   withdrawn_seen : int ref;  (** withdraw NLRIs heard *)
+  updates_seen : int ref;  (** UPDATEs heard, End-of-RIB excluded *)
 }
 
 let make_fixture ?(gr_restart_time = 0) ~ingest_batching () =
@@ -70,13 +71,14 @@ let make_fixture ?(gr_restart_time = 0) ~ingest_batching () =
     Router.connect_experiment router ~grant ~mac:(Mac.local ~pool:0xe0 1) ()
   in
   let heard = Hashtbl.create 64 in
-  let announces = ref [] and withdrawn_seen = ref 0 in
+  let announces = ref [] and withdrawn_seen = ref 0 and updates_seen = ref 0 in
   Session.set_handlers epair.Sim.Bgp_wire.active
     {
       null_handlers with
       Session.on_update =
         (fun u ->
           if not (Msg.is_end_of_rib u) then begin
+            incr updates_seen;
             List.iter
               (fun (n : Msg.nlri) ->
                 incr withdrawn_seen;
@@ -91,7 +93,16 @@ let make_fixture ?(gr_restart_time = 0) ~ingest_batching () =
     };
   Sim.Bgp_wire.start epair;
   Sim.Engine.run_until engine 5.;
-  { engine; router; neighbor_ids; pairs; heard; announces; withdrawn_seen }
+  {
+    engine;
+    router;
+    neighbor_ids;
+    pairs;
+    heard;
+    announces;
+    withdrawn_seen;
+    updates_seen;
+  }
 
 let settle fx =
   Router.flush_reexports fx.router;
@@ -274,6 +285,43 @@ let test_gr_eor_batched () =
   checki "retained routes generated no announce churn" 0
     (List.length !(fx.announces))
 
+(* A neighbor that replays its whole table (200 routes, each with its own
+   attributes) closed by End-of-RIB on every establishment loses its
+   session. With graceful restart the routes are retained as stale and
+   the replay sweeps nothing, so the experiment hears no UPDATE at all;
+   a hard drop storms one withdrawal per route (packed in one UPDATE)
+   and then one re-announcement UPDATE per route. Returns the
+   (withdrawals, UPDATEs) the experiment heard across the flap. *)
+let flap_heard ~gr_restart_time =
+  let fx = make_fixture ~gr_restart_time ~ingest_batching:true () in
+  let s = fx.pairs.(0).Sim.Bgp_wire.active in
+  let replay () =
+    for p = 0 to 199 do
+      Session.send_update s
+        (Msg.update ~attrs:(attr_variant ~nbr:0 p)
+           ~announced:[ Msg.nlri (op_prefix p) ]
+           ())
+    done;
+    Session.send_update s (Msg.update ())
+  in
+  Session.set_handlers s { null_handlers with Session.on_established = replay };
+  replay ();
+  settle fx;
+  fx.withdrawn_seen := 0;
+  fx.updates_seen := 0;
+  let fault = Sim.Fault.create fx.engine in
+  Sim.Fault.kill_pair fault ~at:1.0 fx.pairs.(0);
+  Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 90.);
+  settle fx;
+  (!(fx.withdrawn_seen), !(fx.updates_seen))
+
+let test_gr_hides_flap () =
+  let pin = Alcotest.(check (pair int int)) in
+  pin "with graceful restart: withdrawals, UPDATEs" (0, 0)
+    (flap_heard ~gr_restart_time:120);
+  pin "hard drop: withdrawals, UPDATEs" (200, 201)
+    (flap_heard ~gr_restart_time:0)
+
 (* -- same-tick coalescing -------------------------------------------------- *)
 
 (* An announce and its withdraw arriving within one engine tick net out in
@@ -347,6 +395,8 @@ let () =
         [
           Alcotest.test_case "EoR mark-and-sweep under batched ingest" `Quick
             test_gr_eor_batched;
+          Alcotest.test_case "a flap is silent with GR, a storm without" `Quick
+            test_gr_hides_flap;
         ] );
       ( "batching",
         [

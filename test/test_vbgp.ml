@@ -1172,7 +1172,80 @@ let test_router_burst_single_recompute () =
         (match Attr.as_path u.Msg.attrs with
         | Some path -> Aspath.length path = 4
         | None -> false))
-    (announces heard_n1)
+    (announces heard_n1);
+  (* The re-export counters on the burst shapes, pinned exactly: one
+     neighbor, one experiment with an unlimited update budget, updates fed
+     and flushed without running the engine. Each burst returns the
+     (facing computations, UPDATEs, NLRI) it cost toward the neighbor. *)
+  let burst ~flush_each updates =
+    let engine = Sim.Engine.create () in
+    let router =
+      Router.create ~engine ~name:"burst" ~asn:(asn 47065)
+        ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
+        ~local_pool:(pfx "127.65.0.0/16")
+        ~global_pool:
+          (Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f)
+        ()
+    in
+    Router.activate router;
+    let _, npair =
+      Router.add_neighbor router ~asn:(asn 100) ~ip:(ip "100.64.0.1")
+        ~kind:Neighbor.Transit ~remote_id:(ip "100.64.0.1") ()
+    in
+    Sim.Bgp_wire.start npair;
+    let caps = Experiment_caps.(default |> with_update_budget max_int) in
+    Sim.Bgp_wire.start
+      (Router.connect_experiment router ~grant:(grant ~caps ())
+         ~mac:(Mac.local ~pool:0xe0 1) ());
+    Sim.Engine.run_until engine 10.;
+    let c = Router.counters router in
+    let c0 = c.Router.reexport_computations
+    and u0 = c.Router.updates_to_neighbors
+    and n0 = c.Router.nlri_to_neighbors in
+    List.iter
+      (fun u ->
+        (match Router.process_experiment_update router ~experiment:"exp001" u with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail (String.concat "; " e));
+        if flush_each then Router.flush_reexports router)
+      updates;
+    Router.flush_reexports router;
+    ( c.Router.reexport_computations - c0,
+      c.Router.updates_to_neighbors - u0,
+      c.Router.nlri_to_neighbors - n0 )
+  in
+  let more_specific i = pfx (Printf.sprintf "184.164.224.%d/28" (i * 16)) in
+  let update ?med i =
+    Msg.update
+      ~attrs:
+        (let a =
+           Attr.origin_attrs
+             ~as_path:(Aspath.of_asns [ asn 61574 ])
+             ~next_hop:(ip "184.164.224.1") ()
+         in
+         match med with Some m -> Attr.with_med m a | None -> a)
+      ~announced:[ Msg.nlri (more_specific i) ]
+      ()
+  in
+  (* 16 more-specifics x 100 MED variants each: flushed after every
+     update, each costs a computation and an UPDATE; flushed once, the
+     dirty queue keeps each prefix's last variant (MED 0 everywhere), so
+     one computation serves all 16 and they leave packed in one UPDATE. *)
+  let variants =
+    List.concat_map
+      (fun i -> List.init 100 (fun j -> update ~med:((j + 1) mod 100) i))
+      (List.init 16 Fun.id)
+  in
+  let pin what =
+    Alcotest.(check (triple int int int)) (what ^ ": computations, UPDATEs, NLRI")
+  in
+  pin "1600 updates, flushed each" (1600, 1600, 1600)
+    (burst ~flush_each:true variants);
+  pin "1600 updates, flushed once" (1, 1, 16) (burst ~flush_each:false variants);
+  (* One interned attribute set across a 16-prefix burst: one
+     computation, one UPDATE carrying all 16 NLRI. *)
+  pin "16 prefixes, one attribute set" (1, 1, 16)
+    (burst ~flush_each:false (List.init 16 (fun i -> update i)))
 
 let mp_reach_heard heard =
   List.find_map
