@@ -346,37 +346,35 @@ let gr_sweep_neighbor t (ns : neighbor_state) =
         log t "neighbor %d sweep: %d stale routes withdrawn"
           ns.info.Neighbor.id (List.length stale)
 
-(* Re-establishment: replay our Adj-RIB-Out (which kept accumulating
+(* Re-establishment: replay our view of the neighbor's Adj-RIB-Out (the
+   group table overlaid with its overrides, which kept accumulating
    intent while the session was down) and close with End-of-RIB so the
    peer can run its own mark-and-sweep. *)
 let resync_neighbor t (ns : neighbor_state) =
   match ns.session with
   | Some s when Session.established s ->
-      (match Hashtbl.find_opt t.adj_out ns.info.Neighbor.id with
-      | None -> ()
-      | Some tbl ->
-          (* Group the replay by interned outbound set so it leaves as
-             one packed multi-NLRI UPDATE per shared attribute set. *)
-          let groups = Hashtbl.create 8 in
-          let order = ref [] in
-          Netcore.Prefix.Tbl.fold (fun p h acc -> (p, h) :: acc) tbl []
-          |> List.sort (fun (a, _) (b, _) -> Netcore.Prefix.compare a b)
-          |> List.iter (fun (p, h) ->
-                 let fid = Attr_arena.id h in
-                 match Hashtbl.find_opt groups fid with
-                 | Some (_, nlris) -> nlris := Msg.nlri p :: !nlris
-                 | None ->
-                     Hashtbl.replace groups fid (h, ref [ Msg.nlri p ]);
-                     order := fid :: !order);
-          List.iter
-            (fun fid ->
-              match Hashtbl.find_opt groups fid with
-              | None -> ()
-              | Some (h, nlris) ->
-                  send_update_to_neighbor t ns
-                    (Msg.update ~attrs:(Attr_arena.set h)
-                       ~announced:(List.rev !nlris) ()))
-            (List.rev !order));
+      (* Group the replay by interned outbound set so it leaves as one
+         packed multi-NLRI UPDATE per shared attribute set. *)
+      let groups = Hashtbl.create 8 in
+      let order = ref [] in
+      List.iter
+        (fun (p, h) ->
+          let fid = Attr_arena.id h in
+          match Hashtbl.find_opt groups fid with
+          | Some (_, nlris) -> nlris := Msg.nlri p :: !nlris
+          | None ->
+              Hashtbl.replace groups fid (h, ref [ Msg.nlri p ]);
+              order := fid :: !order)
+        (Export_pool.routes t.export_pool ~nid:ns.info.Neighbor.id);
+      List.iter
+        (fun fid ->
+          match Hashtbl.find_opt groups fid with
+          | None -> ()
+          | Some (h, nlris) ->
+              send_update_to_neighbor t ns
+                (Msg.update ~attrs:(Attr_arena.set h)
+                   ~announced:(List.rev !nlris) ()))
+        (List.rev !order);
       Session.send_update s (Msg.update ())
   | _ -> ()
 

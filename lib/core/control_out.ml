@@ -125,20 +125,31 @@ let exportable ~ctl_asn filters variants =
 (* The neighbors selecting a given variant form an update-group in the
    FRR sense: they share capabilities and next-hop treatment, so the
    neighbor-facing attribute set is a function of the variant alone.
-   One flush computes each facing set once per lane (deduplicated across
-   lanes for the [reexport_computations] counter) and encodes its wire
-   attribute block once, splicing it into every packed message; what
-   stays per-neighbor is only the compiled export-control filter's
-   verdict, the Adj-RIB-Out delta, and the message framing.
+   [Export_pool] keeps the Adj-RIB-Out as one group table (what every
+   untagged neighbor hears) plus per-neighbor overrides, computes each
+   facing set once per variant per flush, and packs and encodes each
+   distinct delta list once for all the neighbors that share it.
 
-   The whole flush — sequential (the default, one inline lane) or
-   parallel ([?lanes:n]) — runs through [Export_pool]: the
-   coordinator snapshots the variants of every dirty prefix, captures a
-   target per real neighbor (pre-resolving its Adj-RIB-Out so the lazy
-   creation never races), and the lanes run the delta + packing +
-   encoding; [consume] then replays the staged sends in neighbor-id
-   order and folds the counters, so the two paths are byte-identical on
-   the wire. *)
+   The coordinator snapshots the variants of every dirty prefix and
+   captures a target per real neighbor; the pool computes the deltas,
+   its lanes (one inline lane by default, [?lanes:n]) pack and encode,
+   and [consume] replays the sends in neighbor-id order and folds the
+   counters, so the wire is the same at any lane count. *)
+
+let targets t =
+  List.map
+    (fun (ns : neighbor_state) ->
+      {
+        Export_pool.xt_id = ns.info.Neighbor.id;
+        xt_export_id = ns.export_id;
+        xt_params =
+          (match ns.session with
+          | Some s when Session.established s -> Some (Session.send_params s)
+          | _ -> None);
+      })
+    (real_neighbors t)
+
+let facing t v = Attr_arena.intern (neighbor_facing_attrs t (Attr_arena.set v))
 
 let flush_v4 t prefixes =
   let ctl_asn = control_asn t in
@@ -148,25 +159,6 @@ let flush_v4 t prefixes =
       (List.map
          (fun p -> (p, exportable ~ctl_asn filters (variants_for_prefix t p)))
          prefixes)
-  in
-  let targets =
-    List.filter_map
-      (fun (ns : neighbor_state) ->
-        match ns.info.Neighbor.kind with
-        | Neighbor.Backbone_alias _ -> None
-        | _ ->
-            Some
-              {
-                Export_pool.xt_id = ns.info.Neighbor.id;
-                xt_export_id = ns.export_id;
-                xt_out = adj_out_table t ns.info.Neighbor.id;
-                xt_params =
-                  (match ns.session with
-                  | Some s when Session.established s ->
-                      Some (Session.send_params s)
-                  | _ -> None);
-              })
-      (real_neighbors t)
   in
   (* The per-delta hook only when tracing: a disabled trace formats
      nothing, but the call through [ikfprintf] still costs per pair. *)
@@ -179,14 +171,12 @@ let flush_v4 t prefixes =
           else log t "withdraw %a from neighbor %d" Prefix.pp prefix nid)
     else None
   in
-  Export_pool.flush t.export_pool ~prefixes:snapshot ~targets
-    ~facing:(fun v ->
-      Attr_arena.intern (neighbor_facing_attrs t (Attr_arena.set v)))
-    ?log ();
+  Export_pool.flush t.export_pool ~prefixes:snapshot ~targets:(targets t)
+    ~facing:(facing t) ?log ();
   Export_pool.consume t.export_pool
     ~send:(fun ~nid ~update ~bytes ->
-      (* Messages and NLRI are accounted per wire message, exactly as
-         the pre-lane flush did per split piece. *)
+      (* Messages and NLRI are accounted per wire message and per
+         member, exactly as the per-neighbor flush did per split piece. *)
       match neighbor t nid with
       | Some { session = Some s; _ } when Session.established s ->
           t.counters.updates_to_neighbors <-
@@ -200,6 +190,37 @@ let flush_v4 t prefixes =
       | _ -> false)
     ~computations:(fun n ->
       t.counters.reexport_computations <- t.counters.reexport_computations + n)
+
+(* A neighbor added after experiments announced starts at the group's
+   view; it needs an override at each live prefix whose tags name its
+   export id and give it another outcome. Prefixes still dirty are
+   settled by the next flush like any other. *)
+let seed_neighbor t ~neighbor_id =
+  match neighbor t neighbor_id with
+  | Some ns when not (Neighbor.is_alias ns.info) ->
+      let ctl_asn = control_asn t in
+      let filters = Hashtbl.create 16 in
+      let live = Prefix.Tbl.create 64 in
+      let add p = Prefix.Tbl.replace live p () in
+      Hashtbl.iter
+        (fun _ e -> Hashtbl.iter (fun p _ -> add p) e.routes)
+        t.experiments;
+      Hashtbl.iter (fun _ (p, _, _) -> add p) t.remote_exp_routes;
+      Prefix.Tbl.iter
+        (fun p () ->
+          let variants =
+            exportable ~ctl_asn filters (variants_for_prefix t p)
+          in
+          if
+            List.exists
+              (fun (_, f) -> Export_control.names f ns.export_id)
+              variants
+          then
+            Export_pool.set_view t.export_pool ~nid:neighbor_id p
+              (Option.map (facing t)
+                 (Export_control.first_permitted ns.export_id variants)))
+        live
+  | _ -> ()
 
 (* -- IPv6 (MP-BGP) experiment announcements: control plane only ----------- *)
 

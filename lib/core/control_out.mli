@@ -5,15 +5,17 @@
     Re-export runs through a dirty-prefix queue: updates mark prefixes
     dirty ({!request_reexport}) and one flush per engine tick
     ({!flush_reexports}, self-scheduled at zero delay) recomputes each
-    dirty prefix exactly once per neighbor. Deltas against the
-    per-neighbor Adj-RIB-Out keep the wire identical to eager
-    re-export.
+    dirty prefix once. Deltas against the Adj-RIB-Out keep the wire
+    identical to eager re-export.
 
     Within one flush, neighbors selecting the same interned variant form
-    an update-group: the neighbor-facing attribute set is computed once
-    per variant and fanned out, and each neighbor's deltas leave as
-    packed multi-NLRI UPDATEs (one per shared outbound attribute set,
-    split at the 4096-byte RFC 4271 boundary). *)
+    an update-group: the Adj-RIB-Out is one group table (what every
+    untagged neighbor hears) plus per-neighbor overrides, the
+    neighbor-facing attribute set is computed once per variant, and each
+    distinct delta list leaves as packed multi-NLRI UPDATEs (one per
+    shared outbound attribute set, split at the 4096-byte RFC 4271
+    boundary), encoded once and sent to every neighbor that shares it
+    ({!Export_pool}). *)
 
 open Netcore
 open Bgp
@@ -41,10 +43,15 @@ val request_reexport : Router_state.t -> Prefix.t -> unit
 val request_reexport_v6 : Router_state.t -> Prefix_v6.t -> unit
 
 val flush_reexports : Router_state.t -> unit
-(** Drain the dirty-prefix queues now: recompute each dirty prefix once
-    per neighbor (deterministic prefix order) and send Adj-RIB-Out
-    deltas. Runs automatically once per engine tick after updates; call
+(** Drain the dirty-prefix queues now: recompute each dirty prefix
+    (deterministic prefix order) and send Adj-RIB-Out deltas. Runs automatically once per engine tick after updates; call
     directly only when driving the router without the engine. *)
+
+val seed_neighbor : Router_state.t -> neighbor_id:int -> unit
+(** Give a newly added neighbor its Adj-RIB-Out view: the group table
+    plus an override at each live prefix whose export-control tags name
+    its export id and give it another outcome. No-op for an alias or an
+    unknown id. *)
 
 val process_experiment_update :
   Router_state.t ->

@@ -74,3 +74,16 @@ let rec first_permitted export_id = function
   | [] -> None
   | (v, f) :: rest ->
       if permits f export_id then Some v else first_permitted export_id rest
+
+(* What a neighbor no tag names hears: the first variant without a
+   whitelist (a blacklist only ever excludes the ids it names). *)
+let rec first_untagged = function
+  | [] -> None
+  | (v, f) :: rest ->
+      if Array.length f.white = 0 then Some v else first_untagged rest
+
+let iter_named fn f =
+  Array.iter fn f.white;
+  Array.iter fn f.black
+
+let names f export_id = mem export_id f.white || mem export_id f.black

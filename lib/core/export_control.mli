@@ -41,3 +41,14 @@ val allows : ctl_asn:int -> export_id:int -> Community.t list -> bool
 
 val first_permitted : int -> ('a * filter) list -> 'a option
 (** The first variant whose filter permits the export id, in list order. *)
+
+val first_untagged : ('a * filter) list -> 'a option
+(** What every export id no filter names hears: the first variant
+    without a whitelist. Equal to [first_permitted id] for any such
+    [id]. *)
+
+val iter_named : (int -> unit) -> filter -> unit
+(** Each export id the filter whitelists or blacklists. *)
+
+val names : filter -> int -> bool
+(** Whether the filter whitelists or blacklists the export id. *)

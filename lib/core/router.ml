@@ -110,6 +110,7 @@ type export_stats = Export_pool.stats = {
   wire_cache_hits : int;
   wire_cache_misses : int;
   wire_bytes_out : int;
+  delta_lists_encoded : int;
   staged_residual : int;
   lane_depth_max : int array;
 }
@@ -133,7 +134,13 @@ let shutdown_domains t =
 
 (* -- wiring ----------------------------------------------------------------- *)
 
-let add_neighbor = Control_in.add_neighbor
+let add_neighbor t ~asn ~ip ~kind ~remote_id ?latency ?deliver () =
+  let ((neighbor_id, _) as added) =
+    Control_in.add_neighbor t ~asn ~ip ~kind ~remote_id ?latency ?deliver ()
+  in
+  Control_out.seed_neighbor t ~neighbor_id;
+  added
+
 let set_neighbor_deliver = Control_in.set_neighbor_deliver
 let attach_backbone = Backbone.attach_backbone
 

@@ -149,8 +149,10 @@ val export_id : t -> neighbor_id:int -> int
 val neighbor_routes : t -> neighbor_id:int -> Rib.Route.t list
 
 val adj_out_routes : t -> neighbor_id:int -> (Prefix.t * Attr.set) list
-(** The Adj-RIB-Out toward a neighbor as a sorted association list (the
-    chaos convergence checker compares these across runs). *)
+(** The Adj-RIB-Out toward a real neighbor as a sorted association list
+    (the chaos convergence checker compares these across runs): what
+    every untagged neighbor hears, overlaid with this neighbor's
+    exceptions; empty for an alias or an unknown id. *)
 
 val stale_count : t -> neighbor_id:int -> int
 (** Prefixes currently held stale for a neighbor (graceful-restart
@@ -231,17 +233,20 @@ val ingest_stats : t -> ingest_stats
 
 type export_stats = Export_pool.stats = {
   wire_cache_hits : int;
-      (** announce messages spliced from an already-encoded attribute
-          block (the encode-once wire cache; cross-lane deduplicated) *)
+      (** announce messages, per neighbor sent to, spliced from an
+          already-encoded attribute block (the encode-once wire cache) *)
   wire_cache_misses : int;
       (** distinct (facing set, params) attribute blocks encoded *)
   wire_bytes_out : int;
       (** UPDATE wire bytes handed to established neighbor sessions *)
+  delta_lists_encoded : int;
+      (** distinct (delta list, params) packed and encoded: one per
+          update-group per flush, however many neighbors share it *)
   staged_residual : int;
-      (** staged messages not yet replayed — always 0 after
-          {!flush_reexports} returns (gated in the export-par bench) *)
+      (** encoded messages not yet replayed — always 0 after
+          {!flush_reexports} returns (checked in the export-par bench) *)
   lane_depth_max : int array;
-      (** per-lane target-queue high-water mark (index 0 = coordinator) *)
+      (** per-lane neighbor-queue high-water mark (index 0 = coordinator) *)
 }
 
 val export_stats : t -> export_stats
@@ -290,7 +295,9 @@ val add_neighbor :
   unit ->
   int * Bgp_wire.pair
 (** Register a real BGP neighbor; returns its table id and the session
-    pair (the caller drives the remote, active side). *)
+    pair (the caller drives the remote, active side). Its Adj-RIB-Out
+    starts as what it should hear of the experiments' current
+    announcements, replayed once its session is established. *)
 
 val set_neighbor_deliver : t -> neighbor_id:int -> (Ipv4_packet.t -> unit) -> unit
 

@@ -186,11 +186,9 @@ type t = {
       (** (origin PoP, path id) -> announced prefix, attributes, and the
           origin's backbone address (the owner fallback when no local
           experiment announces the prefix) *)
-  adj_out : (int, Attr_arena.handle Prefix.Tbl.t) Hashtbl.t;
-      (** per-neighbor last-sent attributes (interned) *)
   (* The dirty-prefix re-export queue (drained by [Control_out]): updates
      mark prefixes dirty; one flush per engine tick recomputes each dirty
-     prefix once per neighbor. *)
+     prefix once. *)
   dirty : (Prefix.t, unit) Hashtbl.t;
   dirty_v6 : (Prefix_v6.t, unit) Hashtbl.t;
   mutable reexport_scheduled : bool;
@@ -221,9 +219,11 @@ type t = {
       (** always present: with one lane it only counts the sequential
           path's decode errors *)
   export_pool : Export_pool.t;
-      (** always present: the single-lane pool is the sequential flush
-          path itself (inline on the coordinator), so the encode-once
-          wire cache and its stats are live on every router *)
+      (** always present: it holds the Adj-RIB-Out (one group table plus
+          per-neighbor overrides), and the single-lane pool is the
+          sequential flush path itself (inline on the coordinator), so
+          the encode-once wire cache and its stats are live on every
+          router *)
 }
 
 let mesh_exp_id_base = 100_000
@@ -278,7 +278,6 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     mesh = [];
     mesh_imports = Hashtbl.create 64;
     remote_exp_routes = Hashtbl.create 16;
-    adj_out = Hashtbl.create 32;
     dirty = Hashtbl.create 64;
     dirty_v6 = Hashtbl.create 16;
     reexport_scheduled = false;
@@ -383,14 +382,6 @@ let real_neighbors t =
   List.filter (fun ns -> not (Neighbor.is_alias ns.info)) (neighbor_states t)
 
 let experiment t name = Hashtbl.find_opt t.experiments name
-
-let adj_out_table t neighbor_id =
-  match Hashtbl.find_opt t.adj_out neighbor_id with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Prefix.Tbl.create 16 in
-      Hashtbl.replace t.adj_out neighbor_id tbl;
-      tbl
 
 (* Send a (possibly multi-NLRI) UPDATE to a neighbor, splitting it at the
    classic 4096-byte boundary, and account messages and NLRI for the
@@ -577,14 +568,15 @@ let neighbor_routes t ~neighbor_id =
   | Some ns -> Rib.Table.to_list ns.rib_in
   | None -> []
 
-(* The Adj-RIB-Out toward a neighbor, as a sorted association list (the
-   convergence checker compares these across runs). *)
+(* The Adj-RIB-Out toward a real neighbor, as a sorted association list
+   (the convergence checker compares these across runs). *)
 let adj_out_routes t ~neighbor_id =
-  match Hashtbl.find_opt t.adj_out neighbor_id with
-  | None -> []
-  | Some tbl ->
-      Prefix.Tbl.fold (fun p h acc -> (p, Attr_arena.set h) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+  match neighbor t neighbor_id with
+  | Some ns when not (Neighbor.is_alias ns.info) ->
+      List.map
+        (fun (p, h) -> (p, Attr_arena.set h))
+        (Export_pool.routes t.export_pool ~nid:neighbor_id)
+  | _ -> []
 
 (* Prefixes currently held stale for a neighbor (GR retention). *)
 let stale_count t ~neighbor_id =

@@ -164,7 +164,6 @@ type t = {
       (** (origin PoP, path id) -> announced prefix, attributes, and the
           origin's backbone address (the owner fallback when no local
           experiment announces the prefix) *)
-  adj_out : (int, Attr_arena.handle Prefix.Tbl.t) Hashtbl.t;
   dirty : (Prefix.t, unit) Hashtbl.t;
   dirty_v6 : (Prefix_v6.t, unit) Hashtbl.t;
   mutable reexport_scheduled : bool;
@@ -189,9 +188,10 @@ type t = {
       (** always present: with one lane it only counts the sequential
           path's decode errors *)
   export_pool : Export_pool.t;
-      (** the export lane pool — always present: the single-lane pool is
-          the sequential flush path itself (encode-once wire cache and
-          stats stay live on every router) *)
+      (** the export lane pool — always present: it holds the
+          Adj-RIB-Out (one group table plus per-neighbor overrides), and
+          the single-lane pool is the sequential flush path itself
+          (encode-once wire cache and stats stay live on every router) *)
 }
 
 val mesh_exp_id_base : int
@@ -256,9 +256,6 @@ val neighbor_states : t -> neighbor_state list
 val real_neighbors : t -> neighbor_state list
 val experiment : t -> string -> experiment_state option
 
-val adj_out_table : t -> int -> Attr_arena.handle Prefix.Tbl.t
-(** The per-neighbor Adj-RIB-Out table, created on first use. *)
-
 val send_update_to_neighbor : t -> neighbor_state -> Msg.update -> unit
 (** Send an UPDATE to a neighbor's session when established, splitting
     it at the classic 4096-byte boundary ({!Bgp.Codec.split_update}) and
@@ -307,8 +304,10 @@ val export_id : t -> neighbor_id:int -> int
 val neighbor_routes : t -> neighbor_id:int -> Rib.Route.t list
 
 val adj_out_routes : t -> neighbor_id:int -> (Prefix.t * Attr.set) list
-(** The Adj-RIB-Out toward a neighbor as a sorted association list (the
-    chaos convergence checker compares these across runs). *)
+(** The Adj-RIB-Out toward a real neighbor as a sorted association list
+    (the chaos convergence checker compares these across runs): the
+    group table overlaid with its overrides ({!Export_pool.routes});
+    empty for an alias or an unknown id. *)
 
 val stale_count : t -> neighbor_id:int -> int
 (** Prefixes currently held stale for a neighbor (GR retention). *)

@@ -1,19 +1,22 @@
-(* Differential and regression tests for the parallel export lane.
-   A router created with [?lanes:4] hash-partitions the
-   dirty-prefix flush across worker lanes — each lane owns its
-   neighbors' export-control filtering, Adj-RIB-Out delta, multi-NLRI
-   packing, and wire encoding — and replays the staged, fully encoded
-   messages on the single writer. That path must be byte-identical to
-   the sequential flush: a QCheck property drives the same random
-   announce/withdraw/flap/EoR sequence from an experiment through two
-   identically-wired routers (4 lanes vs 1) and compares Adj-RIB-Out
-   fingerprints, exact counters, per-neighbor heard state, and
-   per-neighbor wire-byte transcripts (every byte each neighbor's link
-   delivered), with and without graceful restart in play. Alongside it:
-   a directed GR End-of-RIB sweep whose withdrawals ride the lanes, a
-   mid-churn neighbor kill as a fixed differential script, the
-   encode-once wire-cache accounting, the flush's neighbor placement,
-   the [Control_out.chunked] regression, and create-time validation. *)
+(* Differential and regression tests for the export flush and its lane.
+   The flush keeps the Adj-RIB-Out as update-groups (one group table
+   plus per-neighbor overrides), computes the deltas on the coordinator
+   and packs and encodes each distinct delta list once, on the lane of
+   its lowest-id neighbor; a router created with [?lanes:4] must be
+   byte-identical to the sequential one. A QCheck property drives the
+   same random announce/withdraw/flap/EoR sequence from an experiment
+   through two identically-wired routers (4 lanes vs 1) and compares
+   Adj-RIB-Out fingerprints, exact counters, per-neighbor heard state,
+   and per-neighbor wire-byte transcripts (every byte each neighbor's
+   link delivered), with and without graceful restart in play; it also
+   checks each run against itself, every neighbor's Adj-RIB-Out and
+   heard state against a naive recomputation from the live variants.
+   Alongside it: three fixed scripts (a GR End-of-RIB sweep, a
+   mid-churn neighbor kill, tagged churn) whose per-neighbor transcript
+   digests are pinned to what the per-neighbor Adj-RIB-Out flush sent,
+   the encode-once wire-cache accounting, one encoding per delta list
+   on 100 neighbors, the flush's neighbor placement, the
+   [Control_out.chunked] regression, and create-time validation. *)
 
 open Netcore
 open Bgp
@@ -37,8 +40,8 @@ let null_handlers =
 (* -- fixture: one router, six listening neighbors, one experiment ---------- *)
 
 (* Six neighbors over four lanes: at least one lane owns two neighbors,
-   so the single-writer replay has to interleave per-lane staging
-   queues. *)
+   and the jobs their delta lists share are encoded on whichever lane
+   owns the lowest-id member. *)
 let n_neighbors = 6
 let neighbor_ip i = Ipv4.of_int32 (Int32.of_int (0x64400001 + i))
 
@@ -60,7 +63,7 @@ type fixture = {
   announces : int ref;
 }
 
-let make_fixture ?(gr_restart_time = 0) ~lanes () =
+let make_fixture ?(gr_restart_time = 0) ?(n = n_neighbors) ~lanes () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -73,12 +76,12 @@ let make_fixture ?(gr_restart_time = 0) ~lanes () =
   in
   Router.activate router;
   let both =
-    Array.init n_neighbors (fun i ->
+    Array.init n (fun i ->
         Router.add_neighbor router ~asn:(asn (100 + i)) ~ip:(neighbor_ip i)
           ~kind:Neighbor.Transit ~remote_id:(neighbor_ip i) ())
   in
   let neighbor_ids = Array.map fst both and pairs = Array.map snd both in
-  let taps = Array.init n_neighbors (fun _ -> Buffer.create 256) in
+  let taps = Array.init n (fun _ -> Buffer.create 256) in
   let heard = Hashtbl.create 64 in
   let withdrawn_seen = ref 0 and announces = ref 0 in
   Array.iteri
@@ -89,10 +92,18 @@ let make_fixture ?(gr_restart_time = 0) ~lanes () =
       Sim.Link.attach pair.Sim.Bgp_wire.link Sim.Link.A (fun data ->
           Buffer.add_string taps.(i) data;
           Session.receive_bytes pair.Sim.Bgp_wire.active data);
+      (* A neighbor drops what it heard when its session goes down; the
+         router's resync replays its whole view. *)
+      let forget () =
+        Hashtbl.filter_map_inplace
+          (fun (j, _) attrs -> if j = i then None else Some attrs)
+          heard
+      in
       Session.set_handlers pair.Sim.Bgp_wire.active
         {
           null_handlers with
-          Session.on_update =
+          Session.on_down = (fun _ -> forget ());
+          on_update =
             (fun u ->
               if not (Msg.is_end_of_rib u) then begin
                 List.iter
@@ -113,7 +124,8 @@ let make_fixture ?(gr_restart_time = 0) ~lanes () =
     Control_enforcer.grant ~asns:[ asn 61574 ]
       ~prefixes:[ pfx "184.164.224.0/21" ]
       ~caps:
-        Experiment_caps.(default |> with_communities 4 |> with_update_budget 10000)
+        Experiment_caps.(
+          default |> with_communities 16 |> with_update_budget 10000)
       "par-exp"
   in
   let epair =
@@ -172,6 +184,16 @@ let counters_line fx =
     c.Router.nlri_to_neighbors c.Router.updates_to_experiments
     c.Router.nlri_to_experiments c.Router.updates_to_mesh c.Router.nlri_to_mesh
 
+(* Every byte each neighbor's link delivered, as length and MD5 per
+   neighbor. *)
+let wire_digests fx =
+  Array.to_list
+    (Array.mapi
+       (fun i buf ->
+         Fmt.str "n%d %d bytes %s" i (Buffer.length buf)
+           (Digest.to_hex (Digest.string (Buffer.contents buf))))
+       fx.taps)
+
 let fingerprint fx =
   settle fx;
   let adj_out =
@@ -190,17 +212,64 @@ let fingerprint fx =
       fx.heard []
     |> List.sort compare
   in
-  let wires =
-    Array.to_list
-      (Array.mapi
-         (fun i buf ->
-           Fmt.str "n%d %d bytes %s" i (Buffer.length buf)
-             (Digest.to_hex (Digest.string (Buffer.contents buf))))
-         fx.taps)
-  in
   String.concat "\n"
-    (("adj-out:" :: adj_out) @ ("heard:" :: heard) @ ("wire:" :: wires)
+    (("adj-out:" :: adj_out) @ ("heard:" :: heard)
+    @ ("wire:" :: wire_digests fx)
     @ [ "counters:"; counters_line fx ])
+
+(* -- single-run check: each neighbor's view against a naive model ---------- *)
+
+(* What neighbor [i] should hear, recomputed from the live variants alone:
+   per prefix, the neighbor-facing set of the first exportable variant
+   whose tags admit its export id, or nothing. No update-group, override
+   or delta is involved. *)
+let naive_view fx i =
+  let ctl_asn = Router.control_asn fx.router in
+  let export_id =
+    Router.export_id fx.router ~neighbor_id:fx.neighbor_ids.(i)
+  in
+  List.filter_map
+    (fun k ->
+      let prefix = op_prefix k in
+      Control_out.variants_for_prefix fx.router prefix
+      |> List.find_opt (fun h ->
+             let cs = Attr.communities (Attr_arena.set h) in
+             (not (List.exists (Community.equal Community.no_export) cs))
+             && Export_control.allows ~ctl_asn ~export_id cs)
+      |> Option.map (fun h ->
+             ( prefix,
+               Control_out.neighbor_facing_attrs fx.router (Attr_arena.set h) )))
+    (List.init 8 Fun.id)
+
+let show_view view =
+  List.map
+    (fun (p, attrs) ->
+      Fmt.str "%a %a" Prefix.pp p Attr.pp_set (Attr_arena.intern_set attrs))
+    view
+  |> List.sort compare
+
+(* Every neighbor's Adj-RIB-Out and decoded heard state against
+   [naive_view], after [fingerprint] has settled the run. Returns the
+   mismatches. *)
+let view_mismatches fx =
+  List.concat
+    (List.init (Array.length fx.neighbor_ids) (fun i ->
+         let want = show_view (naive_view fx i) in
+         let adj_out =
+           show_view
+             (Router.adj_out_routes fx.router ~neighbor_id:fx.neighbor_ids.(i))
+         in
+         let heard =
+           show_view
+             (Hashtbl.fold
+                (fun (j, p) attrs acc -> if j = i then (p, attrs) :: acc else acc)
+                fx.heard [])
+         in
+         (if adj_out = want then []
+          else [ Fmt.str "n%d adj-out [%s]" i (String.concat "; " adj_out) ])
+         @
+         if heard = want then []
+         else [ Fmt.str "n%d heard [%s]" i (String.concat "; " heard) ]))
 
 (* -- random operation sequences ------------------------------------------- *)
 
@@ -264,21 +333,24 @@ let ops_arb =
     ~print:(fun ops -> String.concat " " (List.map pp_op ops))
     QCheck.Gen.(list_size (int_range 1 30) gen_op)
 
-(* Run one ops sequence to convergence; returns the fingerprint and the
-   staged-send residual (which must be zero once the flush has run). *)
+(* Run one ops sequence to convergence; returns the fingerprint, the
+   staged-send residual (which must be zero once the flush has run), the
+   per-neighbor wire digests and the single-run view mismatches. *)
 let run_ops ~lanes ~gr ops =
   let fx = make_fixture ~gr_restart_time:gr ~lanes () in
   List.iter (apply fx) ops;
   let fp = fingerprint fx in
   let residual = (Router.export_stats fx.router).Router.staged_residual in
   Router.shutdown_domains fx.router;
-  (fp, residual)
+  (fp, residual, wire_digests fx, view_mismatches fx)
 
 let differential ~name ~gr =
   QCheck.Test.make ~name ~count:12 ops_arb (fun ops ->
-      let fp_par, residual = run_ops ~lanes:4 ~gr ops in
-      let fp_seq, _ = run_ops ~lanes:1 ~gr ops in
-      residual = 0 && String.equal fp_par fp_seq)
+      let fp_par, residual, _, bad_par = run_ops ~lanes:4 ~gr ops in
+      let fp_seq, _, _, bad_seq = run_ops ~lanes:1 ~gr ops in
+      match bad_par @ bad_seq with
+      | [] -> residual = 0 && String.equal fp_par fp_seq
+      | bad -> QCheck.Test.fail_report (String.concat "\n" bad))
 
 let prop_differential =
   differential ~name:"4-lane export is byte-identical to sequential" ~gr:0
@@ -286,6 +358,40 @@ let prop_differential =
 let prop_differential_gr =
   differential
     ~name:"4-lane export is byte-identical under graceful restart" ~gr:120
+
+(* -- pinned wire transcripts ------------------------------------------------- *)
+
+(* Per-neighbor transcript digests of the two fixed scripts below, as the
+   per-neighbor Adj-RIB-Out flush produced them before the flush moved to
+   update-groups. Packing is a deterministic function of a neighbor's
+   delta list and its session parameters, so any export path must
+   reproduce these bytes exactly. *)
+let gr_eor_wires =
+  List.init n_neighbors (fun i ->
+      Printf.sprintf "n%d 234 bytes 3c6771f554ccc528e63587be5937a6cc" i)
+
+let kill_mid_churn_wires =
+  [
+    "n0 376 bytes 8584cb7eee32a09ca3e3aede637f6ad1";
+    "n1 376 bytes 8584cb7eee32a09ca3e3aede637f6ad1";
+    "n2 585 bytes 48a666ca5318f70590ef63e3307300fc";
+    "n3 376 bytes 8584cb7eee32a09ca3e3aede637f6ad1";
+    "n4 376 bytes 8584cb7eee32a09ca3e3aede637f6ad1";
+    "n5 479 bytes 32940cba83914aa7b5c1fdb38423fe61";
+  ]
+
+let tagged_churn_wires =
+  [
+    "n0 735 bytes c70f3fed18593086c56d42b6c912f133";
+    "n1 735 bytes c70f3fed18593086c56d42b6c912f133";
+    "n2 851 bytes 6734cc15031e107704a1df969cb22ce4";
+    "n3 921 bytes 227cfca737e4002d633380ca73ac9ef1";
+    "n4 1097 bytes e55809ae12076c6eb174e5a4e87b0bfa";
+    "n5 847 bytes 792cdc7114ff3a11b59cf84ccb01e8aa";
+  ]
+
+let check_wires what expected got =
+  Alcotest.(check (list string)) what expected got
 
 (* -- directed: GR End-of-RIB sweep rides the export lanes ------------------ *)
 
@@ -329,6 +435,7 @@ let test_par_gr_eor () =
     fx.pairs;
   checki "staged sends all replayed" 0
     (Router.export_stats fx.router).Router.staged_residual;
+  check_wires "EoR sweep transcripts" gr_eor_wires (wire_digests fx);
   Router.shutdown_domains fx.router
 
 (* -- directed: mid-churn neighbor kill as a fixed differential script ------ *)
@@ -346,10 +453,38 @@ let test_par_kill_mid_churn () =
     @ [ Tick; Withdraw 1; Withdraw 3; Tick; Flap 5 ]
     @ wave 2 @ [ Tick ]
   in
-  let fp_par, residual = run_ops ~lanes:4 ~gr:0 script in
-  let fp_seq, _ = run_ops ~lanes:1 ~gr:0 script in
+  let fp_par, residual, wires_par, bad_par = run_ops ~lanes:4 ~gr:0 script in
+  let fp_seq, _, wires_seq, bad_seq = run_ops ~lanes:1 ~gr:0 script in
   checki "staged sends all replayed" 0 residual;
-  checks "kill mid-churn converges byte-identically" fp_seq fp_par
+  checks "kill mid-churn converges byte-identically" fp_seq fp_par;
+  Alcotest.(check (list string)) "views match the model" [] (bad_par @ bad_seq);
+  check_wires "kill mid-churn transcripts, sequential" kill_mid_churn_wires
+    wires_seq;
+  check_wires "kill mid-churn transcripts, 4 lanes" kill_mid_churn_wires
+    wires_par
+
+(* -- directed: export-control tags under churn, pinned ---------------------- *)
+
+(* Every prefix carries its own variant, so one flush mixes untagged,
+   whitelisted, blacklisted and NO_EXPORT announcements; later waves move
+   the tags to other neighbors, withdraw some prefixes and flap a tagged
+   neighbor, so neighbors leave and rejoin the untagged majority prefix
+   by prefix. *)
+let test_tagged_churn () =
+  let wave k = List.init 8 (fun p -> Announce (p, (p + k) mod 12)) in
+  let script =
+    wave 0 @ [ Tick ] @ wave 3
+    @ [ Tick; Withdraw 2; Withdraw 5; Flap 4; Tick ]
+    @ wave 6 @ [ Tick; Announce (2, 2); Announce (5, 5) ] @ wave 9 @ [ Tick ]
+  in
+  let fp_par, residual, wires_par, bad_par = run_ops ~lanes:4 ~gr:0 script in
+  let fp_seq, _, wires_seq, bad_seq = run_ops ~lanes:1 ~gr:0 script in
+  checki "staged sends all replayed" 0 residual;
+  checks "tagged churn converges byte-identically" fp_seq fp_par;
+  Alcotest.(check (list string)) "views match the model" [] (bad_par @ bad_seq);
+  check_wires "tagged churn transcripts, sequential" tagged_churn_wires
+    wires_seq;
+  check_wires "tagged churn transcripts, 4 lanes" tagged_churn_wires wires_par
 
 (* -- the encode-once wire cache -------------------------------------------- *)
 
@@ -387,6 +522,67 @@ let wire_cache_counts ~lanes () =
 
 let test_wire_cache_seq () = wire_cache_counts ~lanes:1 ()
 let test_wire_cache_par () = wire_cache_counts ~lanes:4 ()
+
+(* -- update-groups: one packing and encoding per distinct delta list ------ *)
+
+(* A hundred neighbors, three announcements, each flushed alone. Every
+   neighbor an announcement reaches hears the same delta list, so each
+   costs one packing and encoding however many neighbors it is sent to;
+   the neighbors it skips are sent nothing. The Adj-RIB-Out holds one
+   group entry per announcement an untagged neighbor hears plus an
+   override per tagged neighbor: 1, 9 and 14 entries, where one table
+   per neighbor held 100, 108 and 204. *)
+let update_group_counts ~lanes () =
+  let fx = make_fixture ~n:100 ~lanes () in
+  let ctl_asn = Router.control_asn fx.router in
+  let export_id i =
+    Router.export_id fx.router ~neighbor_id:fx.neighbor_ids.(i)
+  in
+  let step what ~prefix ~communities ~encoded ~receivers ~entries =
+    let before = Router.export_stats fx.router in
+    let sent_before = Array.map Buffer.length fx.taps in
+    ignore
+      (Router.process_experiment_update fx.router ~experiment:"par-exp"
+         (Msg.update
+            ~attrs:(attr_variant fx 0 |> Attr.with_communities communities)
+            ~announced:[ Msg.nlri (op_prefix prefix) ]
+            ()));
+    Router.flush_reexports fx.router;
+    Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 1.);
+    let after = Router.export_stats fx.router in
+    checki (what ^ ": delta lists encoded") encoded
+      (after.Router.delta_lists_encoded - before.Router.delta_lists_encoded);
+    checki (what ^ ": attribute blocks encoded") encoded
+      (after.Router.wire_cache_misses - before.Router.wire_cache_misses);
+    checki
+      (what ^ ": messages spliced from them")
+      (receivers - encoded)
+      (after.Router.wire_cache_hits - before.Router.wire_cache_hits);
+    let sent = ref 0 in
+    Array.iteri
+      (fun i buf -> if Buffer.length buf > sent_before.(i) then incr sent)
+      fx.taps;
+    checki (what ^ ": neighbors sent to") receivers !sent;
+    checki
+      (what ^ ": Adj-RIB-Out entries")
+      entries
+      (Export_pool.entries fx.router.Router_state.export_pool)
+  in
+  step "untagged" ~prefix:0 ~communities:[] ~encoded:1 ~receivers:100
+    ~entries:1;
+  step "whitelist naming 8" ~prefix:1
+    ~communities:
+      (List.init 8 (fun i -> Export_control.announce_to ~ctl_asn (export_id i)))
+    ~encoded:1 ~receivers:8 ~entries:(1 + 8);
+  step "blacklist naming 4" ~prefix:2
+    ~communities:
+      (List.init 4 (fun i -> Export_control.block ~ctl_asn (export_id (10 + i))))
+    ~encoded:1 ~receivers:96 ~entries:(1 + 8 + 1 + 4);
+  checki "views stay exact" 0 (List.length (view_mismatches fx));
+  Router.shutdown_domains fx.router
+
+let test_update_groups_seq () = update_group_counts ~lanes:1 ()
+let test_update_groups_par () = update_group_counts ~lanes:4 ()
 
 (* -- partitioning and plumbing --------------------------------------------- *)
 
@@ -480,6 +676,8 @@ let () =
         [
           Alcotest.test_case "mid-churn neighbor kill converges identically"
             `Quick test_par_kill_mid_churn;
+          Alcotest.test_case "tagged churn matches pinned transcripts" `Quick
+            test_tagged_churn;
         ] );
       ( "wire-cache",
         [
@@ -487,6 +685,10 @@ let () =
             test_wire_cache_seq;
           Alcotest.test_case "encode-once accounting, 4 lanes" `Quick
             test_wire_cache_par;
+          Alcotest.test_case "one encoding per delta list, sequential" `Quick
+            test_update_groups_seq;
+          Alcotest.test_case "one encoding per delta list, 4 lanes" `Quick
+            test_update_groups_par;
         ] );
       ( "partition",
         [

@@ -972,6 +972,76 @@ let test_router_blacklist_export () =
   checkb "N1 blacklisted" false (announced heard_n1);
   checkb "N2 hears" true (announced heard_n2)
 
+(* A neighbor added after the experiment announced starts from what it
+   should hear: the untagged announcement, the one whitelisting its
+   export id, and not the one blacklisting it. (Before update-groups its
+   Adj-RIB-Out started empty and the resync replayed nothing.) *)
+let test_router_late_neighbor () =
+  let fx = make_fixture () in
+  let pair =
+    Router.connect_experiment fx.router ~grant:(grant ())
+      ~mac:(Mac.local ~pool:2 1) ()
+  in
+  Sim.Bgp_wire.start pair;
+  Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 5.);
+  (* Export ids are global-pool indices, handed out in order — the two
+     neighbors, then the experiment's address — so the next neighbor's is
+     known before it exists. *)
+  let late_export_id = Router.export_id fx.router ~neighbor_id:fx.n2 + 2 in
+  let untagged = pfx "184.164.224.0/26"
+  and whitelisted = pfx "184.164.224.64/26"
+  and blacklisted = pfx "184.164.224.128/26" in
+  List.iter
+    (fun (prefix, communities) ->
+      match
+        Router.process_experiment_update fx.router ~experiment:"exp001"
+          (announce ~prefix ~communities ())
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (String.concat "; " e))
+    [
+      (untagged, []);
+      (whitelisted, [ Export_control.announce_to ~ctl_asn:ctl late_export_id ]);
+      (blacklisted, [ Export_control.block ~ctl_asn:ctl late_export_id ]);
+    ];
+  Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 5.);
+  let n3, n3_session =
+    Router.add_neighbor fx.router ~asn:(asn 300) ~ip:(ip "100.64.0.3")
+      ~kind:Neighbor.Transit ~remote_id:(ip "100.64.0.3") ()
+  in
+  checki "the tags name the late neighbor" late_export_id
+    (Router.export_id fx.router ~neighbor_id:n3);
+  let heard = Hashtbl.create 4 in
+  Session.set_handlers n3_session.Sim.Bgp_wire.active
+    {
+      Session.on_route_refresh = (fun ~afi:_ ~safi:_ -> ());
+      on_update =
+        (fun u ->
+          List.iter
+            (fun (n : Msg.nlri) -> Hashtbl.remove heard n.Msg.prefix)
+            u.Msg.withdrawn;
+          List.iter
+            (fun (n : Msg.nlri) -> Hashtbl.replace heard n.Msg.prefix ())
+            u.Msg.announced);
+      on_established = ignore;
+      on_down = ignore;
+    };
+  Sim.Bgp_wire.start n3_session;
+  Sim.Engine.run_until fx.engine (Sim.Engine.now fx.engine +. 5.);
+  Router.flush_reexports fx.router;
+  let prefixes l = List.sort Prefix.compare l |> List.map Prefix.to_string in
+  let expected = prefixes [ untagged; whitelisted ] in
+  Alcotest.(check (list string))
+    "late neighbor's Adj-RIB-Out" expected
+    (prefixes (List.map fst (Router.adj_out_routes fx.router ~neighbor_id:n3)));
+  Alcotest.(check (list string))
+    "late neighbor heard" expected
+    (prefixes (Hashtbl.fold (fun p () acc -> p :: acc) heard []));
+  Alcotest.(check (list string))
+    "an early neighbor's view is unchanged"
+    (prefixes [ untagged; blacklisted ])
+    (prefixes (List.map fst (Router.adj_out_routes fx.router ~neighbor_id:fx.n1)))
+
 let test_router_variant_selection () =
   (* Two ADD-PATH variants of one prefix with different export policies:
      each neighbor hears exactly its variant (the §2.2.2 scenario). *)
@@ -1413,6 +1483,8 @@ let () =
             test_router_no_export;
           Alcotest.test_case "blacklist export" `Quick
             test_router_blacklist_export;
+          Alcotest.test_case "late neighbor hears current announcements"
+            `Quick test_router_late_neighbor;
           Alcotest.test_case "per-neighbor variants" `Quick
             test_router_variant_selection;
           Alcotest.test_case "first permitted variant" `Quick
