@@ -50,7 +50,7 @@ let alias_for_global t ~pop global_ip =
           deliver = (fun _ -> ());
           export_id;
           gr = None;
-          flows = Hashtbl.create 64;
+          flows = Flow_table.create ();
         }
       in
       Hashtbl.replace t.neighbors id ns;

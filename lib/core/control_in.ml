@@ -435,7 +435,7 @@ let add_neighbor t ~asn ~ip ~kind ~remote_id ?(latency = 0.002)
       deliver;
       export_id = global.Addr_pool.index;
       gr = None;
-      flows = Hashtbl.create 64;
+      flows = Flow_table.create ();
     }
   in
   Hashtbl.replace t.neighbors id ns;

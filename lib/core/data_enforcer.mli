@@ -36,7 +36,11 @@ val filter :
     never on other header fields, payload, wall-clock time, or mutable
     state. Stateless filters form the cacheable head of the chain;
     flagging a filter stateless when it is not breaks flow-cache
-    coherence (stale verdicts served to later packets of a flow). *)
+    coherence (stale verdicts served to later packets of a flow).
+
+    The packet is lent for the call: a filter must not keep it. A flow
+    cache hit forwards the very record its stateful tail was handed,
+    with the TTL decremented in place. *)
 
 val filter_name : filter -> string
 val filter_is_stateless : filter -> bool

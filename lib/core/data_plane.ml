@@ -5,21 +5,24 @@
    toward experiments carry the delivering neighbor's virtual MAC as
    source, giving experiments per-packet ingress visibility.
 
-   The per-packet fast path works on {!Ipv4_packet.View}s — the wire
-   bytes adopted in place and validated once — and memoizes the
-   composite forwarding decision (enforcement verdict, ingress
-   attribution, FIB entry, egress action) in a per-neighbor flow cache
-   keyed by (source MAC, src, dst). Entries are stamped with three
+   The per-packet fast path works on {!Ipv4_packet.View}s — the frame's
+   own string, validated in place and never copied to be read — and
+   memoizes the composite forwarding decision (enforcement verdict,
+   ingress attribution, FIB entry, egress action) in a per-neighbor flow
+   table ({!Flow_table}) keyed by (source MAC, src, dst) as unboxed ints,
+   so a probe allocates nothing. Entries are stamped with three
    generations — the neighbor FIB's, the enforcement chain's, and the
    owner table's — and self-invalidate when any source of the decision
-   changes; no explicit flush exists. Every mutation
-   that changes a binding bumps its generation, and only those: every
+   changes; no explicit flush exists. Every mutation that changes a
+   binding bumps its generation, and only those: every
    entry of a neighbor's FIB is the neighbor itself, so re-announcements
    that move only the AS path, MED or communities write nothing and the
    neighbor's flows stay cached through them. Stateful filters (the
    token-bucket shaper) still run on every packet via the enforcement
    chain's stateless-head/stateful-tail split; a hit materializes the
-   frame as a record at most once, for the tail and delivery together. *)
+   frame as a record at most once, for the tail and delivery together,
+   and decrements that record's TTL in place: one copy of the payload
+   per forwarded frame. *)
 
 open Netcore
 open Sim
@@ -115,32 +118,39 @@ let ingress_of ~sender ~src_mac =
   | Some name -> name
   | None -> Printf.sprintf "unknown:%s" (Mac.to_string src_mac)
 
+(* Hand a forwarded packet to the neighbor table's choice: over the
+   backbone when the table belongs to a remote PoP's neighbor (an alias),
+   straight to the neighbor otherwise. *)
+let send_to_neighbor t ~ns (entry : Rib.Fib.entry) packet =
+  if Neighbor.is_alias ns.info then
+    forward_over_backbone t ~global_ip:entry.next_hop packet
+  else begin
+    t.counters.packets_to_neighbors <- t.counters.packets_to_neighbors + 1;
+    ns.deliver packet
+  end
+
 (* The record-path continuation for a packet the enforcement chain
    allowed: TTL handling, the neighbor table, delivery. Shared by the
    slow path and by cache hits whose stateful tail rewrote the packet
    (the rewrite may have changed the destination, so the FIB lookup is
-   redone here on the rewritten record). *)
+   redone here on the rewritten record). The packet may belong to a
+   filter that rewrote it, so the TTL is decremented on a copy. *)
 let forward_allowed_packet t ~ns ~fib packet =
   if packet.Ipv4_packet.ttl <= 1 then
     deliver_inbound t (icmp_ttl_exceeded t packet)
-  else begin
+  else
     let packet = Ipv4_packet.decrement_ttl packet in
     match Rib.Fib.lookup fib packet.Ipv4_packet.dst with
     | None -> t.counters.packets_dropped <- t.counters.packets_dropped + 1
-    | Some entry ->
-        if Neighbor.is_alias ns.info then
-          forward_over_backbone t ~global_ip:entry.Rib.Fib.next_hop packet
-        else begin
-          t.counters.packets_to_neighbors <-
-            t.counters.packets_to_neighbors + 1;
-          ns.deliver packet
-        end
-  end
+    | Some entry -> send_to_neighbor t ~ns entry packet
 
 (* Resolve a frame through the full enforcement chain on the record slow
    path; when [store] is set and the verdict was flow-determined,
-   memoize it (stamped with the current generations) for later hits. *)
-let resolve_and_forward t ~ns ~fib ~now ~sender ~src_mac ~store view =
+   memoize it (stamped with the current generations) for later hits.
+   The sender is looked up here only: a hit carries it in its entry. *)
+let resolve_and_forward t ~ns ~fib ~now ~src_mac ~store view =
+  let sender = Hashtbl.find_opt t.by_exp_mac src_mac in
+  let exp = match sender with Some n -> experiment t n | None -> None in
   let ingress = ingress_of ~sender ~src_mac in
   let packet = Ipv4_packet.View.to_packet view in
   (* Stamps are read before resolving so a mutation racing in during
@@ -164,26 +174,24 @@ let resolve_and_forward t ~ns ~fib ~now ~sender ~src_mac ~store view =
                | Some entry -> Fforward entry
                | None -> Fnofib)
          in
-         let f_exp =
-           match sender with Some n -> experiment t n | None -> None
-         in
-         if Hashtbl.length ns.flows >= flow_cache_capacity then
-           Hashtbl.reset ns.flows;
-         Hashtbl.replace ns.flows
-           (src_mac, Ipv4_packet.View.src view, Ipv4_packet.View.dst view)
-           { f_action; f_exp; f_ingress = ingress; f_fib_gen; f_enf_gen;
-             f_owner_gen });
+         if Flow_table.length ns.flows >= flow_cache_capacity then
+           Flow_table.reset ns.flows;
+         Flow_table.replace ns.flows ~mac:(Mac.to_int src_mac)
+           ~src:(Ipv4_packet.View.src_bits view)
+           ~dst:(Ipv4_packet.View.dst_bits view)
+           { f_action; f_exp = exp; f_ingress = ingress; f_fib_gen;
+             f_enf_gen; f_owner_gen });
   match decision with
   | Data_enforcer.Blocked _ ->
       t.counters.packets_dropped <- t.counters.packets_dropped + 1
   | Data_enforcer.Allowed packet ->
-      attribute_out
-        (match sender with Some n -> experiment t n | None -> None)
+      attribute_out exp
         (Ipv4_packet.header_size + String.length packet.Ipv4_packet.payload);
       forward_allowed_packet t ~ns ~fib packet
 
 (* The record a cache hit forwards: the one the stateful tail already
-   built, or else one read out of the wire bytes. *)
+   built, or else one read out of the wire bytes. Either is this hit's
+   own. *)
 let hit_packet view = function
   | Some packet -> packet
   | None -> Ipv4_packet.View.to_packet view
@@ -192,8 +200,9 @@ let hit_packet view = function
    replayed as counter/trace bookkeeping; the stateful tail still runs
    on the packet. The frame is materialized as a record at most once,
    and only where it leaves: for the ICMP error or for delivery. When a
-   tail ran, the record it built is the one forwarded; a memoized
-   no-route verdict is counted without building one. *)
+   tail ran, the record it built is the one forwarded, its TTL
+   decremented in place; a memoized no-route verdict is counted without
+   building one. *)
 let execute_cached t ~ns ~fib ~now view fe =
   match fe.f_action with
   | Fblock (f, reason) ->
@@ -219,17 +228,9 @@ let execute_cached t ~ns ~fib ~now view fe =
           else
             match action with
             | Fforward entry ->
-                let packet =
-                  Ipv4_packet.decrement_ttl (hit_packet view tailed)
-                in
-                if Neighbor.is_alias ns.info then
-                  forward_over_backbone t ~global_ip:entry.Rib.Fib.next_hop
-                    packet
-                else begin
-                  t.counters.packets_to_neighbors <-
-                    t.counters.packets_to_neighbors + 1;
-                  ns.deliver packet
-                end
+                let packet = hit_packet view tailed in
+                packet.Ipv4_packet.ttl <- packet.Ipv4_packet.ttl - 1;
+                send_to_neighbor t ~ns entry packet
             | Fnofib ->
                 t.counters.packets_dropped <- t.counters.packets_dropped + 1
             | Fblock _ -> assert false))
@@ -237,44 +238,37 @@ let execute_cached t ~ns ~fib ~now view fe =
 (* Forward a frame an experiment put on the wire: the destination MAC
    picks the neighbor table (the heart of §3.2.2). Cheap rejections
    first — unknown station, then a malformed packet — before any
-   per-frame work; the clock is read once per frame. *)
+   per-frame work; the clock is read once per frame. The flow-table
+   probe allocates nothing. *)
 let forward_experiment_frame t ~neighbor_id (frame : Eth.t) =
   match neighbor t neighbor_id with
   | None -> t.counters.packets_dropped <- t.counters.packets_dropped + 1
   | Some ns -> (
-      let sender = Hashtbl.find_opt t.by_exp_mac frame.src in
       match Ipv4_packet.View.of_string frame.payload with
       | Error _ ->
           t.counters.packets_dropped <- t.counters.packets_dropped + 1
-      | Ok view ->
+      | Ok view -> (
           let now = Engine.now t.engine in
           let fib = Rib.Fib.Set.table t.fibs ns.info.Neighbor.id in
           if not t.flow_cache_enabled then
-            resolve_and_forward t ~ns ~fib ~now ~sender ~src_mac:frame.src
+            resolve_and_forward t ~ns ~fib ~now ~src_mac:frame.src
               ~store:false view
           else
-            let key =
-              ( frame.src,
-                Ipv4_packet.View.src view,
-                Ipv4_packet.View.dst view )
-            in
-            let hit =
-              match Hashtbl.find_opt ns.flows key with
-              | Some fe
-                when fe.f_fib_gen = Rib.Fib.generation fib
-                     && fe.f_enf_gen = Data_enforcer.generation t.data
-                     && fe.f_owner_gen = Dcache.generation t.owner_cache ->
-                  Some fe
-              | _ -> None
-            in
-            (match hit with
-            | Some fe ->
+            match
+              Flow_table.find ns.flows ~mac:(Mac.to_int frame.src)
+                ~src:(Ipv4_packet.View.src_bits view)
+                ~dst:(Ipv4_packet.View.dst_bits view)
+            with
+            | Some fe
+              when fe.f_fib_gen = Rib.Fib.generation fib
+                   && fe.f_enf_gen = Data_enforcer.generation t.data
+                   && fe.f_owner_gen = Dcache.generation t.owner_cache ->
                 t.counters.flow_hits <- t.counters.flow_hits + 1;
                 execute_cached t ~ns ~fib ~now view fe
-            | None ->
+            | _ ->
                 t.counters.flow_misses <- t.counters.flow_misses + 1;
-                resolve_and_forward t ~ns ~fib ~now ~sender
-                  ~src_mac:frame.src ~store:true view))
+                resolve_and_forward t ~ns ~fib ~now ~src_mac:frame.src
+                  ~store:true view))
 
 (* Handle a frame arriving on the experiment LAN addressed to one of our
    stations (a neighbor's virtual MAC or the router itself). *)

@@ -21,7 +21,7 @@ type neighbor_state = Router_state.neighbor_state = {
   mutable deliver : Ipv4_packet.t -> unit;
   export_id : int;
   mutable gr : Prefix.t Router_state.gr_hold option;
-  flows : (Mac.t * Ipv4.t * Ipv4.t, Router_state.flow_entry) Hashtbl.t;
+  flows : Router_state.flow_entry Flow_table.t;
 }
 
 type counters = Router_state.counters = {

@@ -28,7 +28,7 @@ type neighbor_state = Router_state.neighbor_state = {
   export_id : int;  (** platform-global id used in export-control tags *)
   mutable gr : Prefix.t Router_state.gr_hold option;
       (** stale retention across a graceful session drop (RFC 4724) *)
-  flows : (Mac.t * Ipv4.t * Ipv4.t, Router_state.flow_entry) Hashtbl.t;
+  flows : Router_state.flow_entry Flow_table.t;
       (** the data-plane flow cache over this neighbor's table,
           generation-stamped (see {!Router_state.flow_entry}) *)
 }

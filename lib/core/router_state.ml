@@ -94,7 +94,7 @@ type neighbor_state = {
   export_id : int;  (** platform-global id used in export-control tags *)
   mutable gr : Prefix.t gr_hold option;
       (** stale retention across a graceful session drop *)
-  flows : (Mac.t * Ipv4.t * Ipv4.t, flow_entry) Hashtbl.t;
+  flows : flow_entry Flow_table.t;
       (** the data-plane flow cache over this neighbor's table *)
 }
 

@@ -14,8 +14,11 @@ val of_string : string -> int
 val verify : string -> bool
 (** Valid data, with its checksum field in place, sums to zero. *)
 
-val sum_bytes_into : int -> Bytes.t -> pos:int -> len:int -> int
-(** {!sum_into} over a [Bytes.t] slice (no copy). *)
+val of_sub : string -> pos:int -> len:int -> int
+(** Checksum of the slice [data.[pos .. pos + len - 1]], read in place. *)
+
+val verify_sub : string -> pos:int -> len:int -> bool
+(** {!verify} over a slice, read in place. *)
 
 val of_bytes : Bytes.t -> pos:int -> len:int -> int
-val verify_bytes : Bytes.t -> pos:int -> len:int -> bool
+(** {!of_sub} over a [Bytes.t] slice, read in place. *)

@@ -10,7 +10,8 @@
 
 type 'a slot = {
   mutable gen : int;
-  mutable addr : Ipv4.t;
+  mutable addr : int;
+      (** {!Ipv4.to_bits}: an unboxed key, so a store promotes no box *)
   mutable value : 'a option;  (** negative results are cached too *)
 }
 
@@ -25,7 +26,7 @@ let create ?(slots = default_slots) () =
   in
   {
     (* Array.init, not Array.make: each slot must be a distinct record. *)
-    slots = Array.init n (fun _ -> { gen = 0; addr = Ipv4.any; value = None });
+    slots = Array.init n (fun _ -> { gen = 0; addr = 0; value = None });
     mask = n - 1;
     (* Slots start at generation 0, the cache at 1: everything stale. *)
     generation = 1;
@@ -34,15 +35,22 @@ let create ?(slots = default_slots) () =
 let generation t = t.generation
 let invalidate t = t.generation <- t.generation + 1
 
+(* All four octets are folded into the slot index: destinations often
+   differ only above the last octet (hosts [x.y.z.9] across many /24s),
+   and indexing by the low bits alone would send them all to one slot. *)
+let index t bits =
+  (bits lxor (bits lsr 8) lxor (bits lsr 16) lxor (bits lsr 24)) land t.mask
+
 (* [Some result] on a hit ([result] itself is the cached lookup outcome,
    possibly [None]); [None] on a miss. *)
 let find t addr =
-  let s = t.slots.(Ipv4.hash addr land t.mask) in
-  if s.gen = t.generation && Ipv4.equal s.addr addr then Some s.value
-  else None
+  let bits = Ipv4.to_bits addr in
+  let s = t.slots.(index t bits) in
+  if s.gen = t.generation && s.addr = bits then Some s.value else None
 
 let store t addr value =
-  let s = t.slots.(Ipv4.hash addr land t.mask) in
+  let bits = Ipv4.to_bits addr in
+  let s = t.slots.(index t bits) in
   s.gen <- t.generation;
-  s.addr <- addr;
+  s.addr <- bits;
   s.value <- value

@@ -58,6 +58,7 @@ let succ v = add v 1
 let diff a b = Int32.to_int (Int32.sub a b) land 0xffffffff
 
 let hash v = Int32.to_int v land max_int
+let to_bits v = Int32.to_int v land 0xffffffff
 
 let is_private v =
   let a, b, _, _ = octets v in

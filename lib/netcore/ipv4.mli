@@ -50,6 +50,10 @@ val diff : t -> t -> int
 
 val hash : t -> int
 
+val to_bits : t -> int
+(** The address as an unsigned 32-bit [int]: distinct addresses give
+    distinct ints, and none is boxed. *)
+
 val is_private : t -> bool
 (** RFC 1918 space or loopback. *)
 

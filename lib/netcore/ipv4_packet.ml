@@ -19,7 +19,7 @@ let protocol_of_int = function
 type t = {
   src : Ipv4.t;
   dst : Ipv4.t;
-  ttl : int;
+  mutable ttl : int;
   protocol : protocol;
   ident : int;
   dscp : int;
@@ -34,23 +34,25 @@ let make ?(ttl = 64) ?(ident = 0) ?(dscp = 0) ~src ~dst ~protocol payload =
 (* A copy with the TTL decremented; forwarding engines must re-encode. *)
 let decrement_ttl t = { t with ttl = t.ttl - 1 }
 
+(* The header is written in place into one buffer of the exact size, its
+   checksum computed over that buffer, and the payload blitted once. *)
 let encode t =
-  let total = header_size + String.length t.payload in
-  let w = Wire.Writer.create ~capacity:total () in
-  Wire.Writer.u8 w 0x45 (* version 4, IHL 5 *);
-  Wire.Writer.u8 w (t.dscp lsl 2);
-  Wire.Writer.u16 w total;
-  Wire.Writer.u16 w t.ident;
-  Wire.Writer.u16 w 0 (* flags/fragment *);
-  Wire.Writer.u8 w t.ttl;
-  Wire.Writer.u8 w (protocol_to_int t.protocol);
-  let cksum_off = Wire.Writer.reserve w 2 in
-  Wire.Writer.u32 w (Ipv4.to_int32 t.src);
-  Wire.Writer.u32 w (Ipv4.to_int32 t.dst);
-  let header = Wire.Writer.contents w in
-  Wire.Writer.patch_u16 w cksum_off (Checksum.of_string header);
-  Wire.Writer.string w t.payload;
-  Wire.Writer.contents w
+  let len = String.length t.payload in
+  let total = header_size + len in
+  let b = Bytes.create total in
+  Bytes.set_uint8 b 0 0x45 (* version 4, IHL 5 *);
+  Bytes.set_uint8 b 1 ((t.dscp lsl 2) land 0xff);
+  Bytes.set_uint16_be b 2 (total land 0xffff);
+  Bytes.set_uint16_be b 4 (t.ident land 0xffff);
+  Bytes.set_uint16_be b 6 0 (* flags/fragment *);
+  Bytes.set_uint8 b 8 (t.ttl land 0xff);
+  Bytes.set_uint8 b 9 (protocol_to_int t.protocol land 0xff);
+  Bytes.set_uint16_be b 10 0;
+  Bytes.set_int32_be b 12 (Ipv4.to_int32 t.src);
+  Bytes.set_int32_be b 16 (Ipv4.to_int32 t.dst);
+  Bytes.set_uint16_be b 10 (Checksum.of_bytes b ~pos:0 ~len:header_size);
+  Bytes.blit_string t.payload 0 b header_size len;
+  Bytes.unsafe_to_string b
 
 let decode data =
   try
@@ -70,7 +72,7 @@ let decode data =
       let dst = Ipv4.of_int32 (Wire.Reader.u32 r) in
       if total < header_size || total > String.length data then
         Error "ipv4: bad total length"
-      else if not (Checksum.verify (String.sub data 0 header_size)) then
+      else if not (Checksum.verify_sub data ~pos:0 ~len:header_size) then
         Error "ipv4: bad header checksum"
       else
         let payload = String.sub data header_size (total - header_size) in
@@ -95,67 +97,68 @@ let pp ppf t =
 
 type packet = t
 
-(* Zero-copy packet views: the wire buffer itself, read by field offset,
-   so the data-plane fast path never materializes a record or re-encodes
-   on delivery. The record above remains the slow-path currency (filters,
-   ICMP generation, tests).
+(* Zero-copy packet views: the frame's own string, validated in place and
+   read by field offset, so the data-plane fast path never copies the
+   frame to look at it, and local delivery passes it on as it came. The
+   record above remains the slow-path currency (filters, ICMP
+   generation, tests).
 
    Wire layout (RFC 791, IHL fixed at 5): 0 version/IHL, 1 DSCP/ECN,
    2-3 total length, 4-5 ident, 6-7 flags/fragment, 8 TTL, 9 protocol,
    10-11 header checksum, 12-15 source, 16-19 destination. *)
 module View = struct
-  type t = Bytes.t
+  type t = string
 
-  let validate b =
-    if Bytes.length b < header_size then Error "ipv4: truncated header"
+  let of_string s =
+    if String.length s < header_size then Error "ipv4: truncated header"
     else
-      let vihl = Bytes.get_uint8 b 0 in
+      let vihl = String.get_uint8 s 0 in
       if vihl lsr 4 <> 4 then Error "ipv4: bad version"
       else if vihl land 0xf <> 5 then Error "ipv4: options unsupported"
       else
-        let total = Bytes.get_uint16_be b 2 in
-        if total < header_size || total > Bytes.length b then
+        let total = String.get_uint16_be s 2 in
+        if total < header_size || total > String.length s then
           Error "ipv4: bad total length"
-        else if not (Checksum.verify_bytes b ~pos:0 ~len:header_size) then
+        else if not (Checksum.verify_sub s ~pos:0 ~len:header_size) then
           Error "ipv4: bad header checksum"
-        else Ok b
+        else Ok s
 
-  let of_bytes = validate
-  let of_string s = validate (Bytes.of_string s)
-  let src b = Ipv4.of_int32 (Bytes.get_int32_be b 12)
-  let dst b = Ipv4.of_int32 (Bytes.get_int32_be b 16)
-  let ttl b = Bytes.get_uint8 b 8
-  let protocol b = protocol_of_int (Bytes.get_uint8 b 9)
-  let ident b = Bytes.get_uint16_be b 4
-  let dscp b = Bytes.get_uint8 b 1 lsr 2
-  let total_length b = Bytes.get_uint16_be b 2
-  let payload_length b = total_length b - header_size
+  (* {!Ipv4.to_bits} of an address field, from two 16-bit reads, so the
+     address never passes through a boxed [int32]. *)
+  let addr_bits s off =
+    (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
 
-  (* The wire form without re-encoding. [Bytes.unsafe_to_string] is safe
-     under the stated ownership contract: after [to_wire] the view must
-     not be mutated again. *)
-  let to_wire b =
-    let total = total_length b in
-    if total = Bytes.length b then Bytes.unsafe_to_string b
-    else Bytes.sub_string b 0 total
+  let src_bits s = addr_bits s 12
+  let dst_bits s = addr_bits s 16
+  let src s = Ipv4.of_int32 (String.get_int32_be s 12)
+  let dst s = Ipv4.of_int32 (String.get_int32_be s 16)
+  let ttl s = String.get_uint8 s 8
+  let protocol s = protocol_of_int (String.get_uint8 s 9)
+  let ident s = String.get_uint16_be s 4
+  let dscp s = String.get_uint8 s 1 lsr 2
+  let total_length s = String.get_uint16_be s 2
+  let payload_length s = total_length s - header_size
 
-  let to_packet b =
+  let to_wire s =
+    let total = total_length s in
+    if total = String.length s then s else String.sub s 0 total
+
+  let to_packet s =
     {
-      src = src b;
-      dst = dst b;
-      ttl = ttl b;
-      protocol = protocol b;
-      ident = ident b;
-      dscp = dscp b;
-      payload = Bytes.sub_string b header_size (payload_length b);
+      src = src s;
+      dst = dst s;
+      ttl = ttl s;
+      protocol = protocol s;
+      ident = ident s;
+      dscp = dscp s;
+      payload = String.sub s header_size (payload_length s);
     }
 
-  (* [encode] returns a fresh unshared string, so claiming it is safe. *)
-  let of_packet p = Bytes.unsafe_of_string (encode p)
+  let of_packet = encode
 
-  let pp ppf b =
-    Fmt.pf ppf "ip %a -> %a ttl=%d proto=%d len=%d" Ipv4.pp (src b) Ipv4.pp
-      (dst b) (ttl b)
-      (Bytes.get_uint8 b 9)
-      (payload_length b)
+  let pp ppf s =
+    Fmt.pf ppf "ip %a -> %a ttl=%d proto=%d len=%d" Ipv4.pp (src s) Ipv4.pp
+      (dst s) (ttl s)
+      (String.get_uint8 s 9)
+      (payload_length s)
 end

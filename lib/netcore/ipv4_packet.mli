@@ -11,7 +11,10 @@ val protocol_of_int : int -> protocol
 type t = {
   src : Ipv4.t;
   dst : Ipv4.t;
-  ttl : int;
+  mutable ttl : int;
+      (** mutable so a forwarding path can decrement the TTL of a record
+          it owns without copying it; {!decrement_ttl} is the copying
+          form *)
   protocol : protocol;
   ident : int;
   dscp : int;
@@ -35,6 +38,8 @@ val decrement_ttl : t -> t
 (** A copy with TTL decremented; forwarding engines re-encode it. *)
 
 val encode : t -> string
+(** The wire form, built in one buffer of the exact size: the payload is
+    copied once. *)
 
 val decode : string -> (t, string) result
 (** Verifies version, IHL, total length, and the header checksum. *)
@@ -44,28 +49,34 @@ val pp : Format.formatter -> t -> unit
 type packet = t
 (** Alias for the record, for use under {!View} where [t] is shadowed. *)
 
-(** Zero-copy packet views: the wire buffer itself, read by field offset.
+(** Zero-copy packet views: the frame's own string, read by field offset.
 
-    The data-plane fast path uses views to avoid materializing a record
-    per packet or re-encoding on delivery; the record stays the slow-path
-    currency (filters, ICMP generation, tests). A view validated by
-    {!View.of_string}/{!View.of_bytes} satisfies exactly {!decode}'s
-    checks (version, IHL 5, total length, header checksum). Unlike the
-    record round trip, a view preserves the ECN bits and any trailing
-    bytes the buffer carries beyond the total length. *)
+    The data-plane fast path uses views to look at a frame without
+    copying it or materializing a record, and to deliver it locally
+    without re-encoding; the record stays the slow-path currency
+    (filters, ICMP generation, tests). A view validated by
+    {!View.of_string} satisfies exactly {!decode}'s checks (version,
+    IHL 5, total length, header checksum). Unlike the record round trip,
+    a view preserves the ECN bits and any trailing bytes the buffer
+    carries beyond the total length. *)
 module View : sig
   type t
 
   val of_string : string -> (t, string) result
-  (** Copies the string into a private mutable buffer and validates it
-      (one copy — the only one on the fast path). *)
-
-  val of_bytes : Bytes.t -> (t, string) result
-  (** Zero-copy adoption of [b]; the caller must not mutate it behind
-      the view's back. *)
+  (** Validates the string in place and adopts it as the view: no copy.
+      Strings are immutable and a view has no mutators, so the frame is
+      shared safely with whoever else holds it. *)
 
   val src : t -> Ipv4.t
   val dst : t -> Ipv4.t
+
+  val src_bits : t -> int
+  (** [Ipv4.to_bits (src v)], read without allocating (a flow-table
+      key). *)
+
+  val dst_bits : t -> int
+  (** [Ipv4.to_bits (dst v)], read without allocating. *)
+
   val ttl : t -> int
   val protocol : t -> protocol
   val ident : t -> int
@@ -77,11 +88,12 @@ module View : sig
   val payload_length : t -> int
 
   val to_wire : t -> string
-  (** The wire form, without re-encoding. Ownership contract: the view
-      must not be mutated after [to_wire] (the buffer may be shared with
-      the returned string). *)
+  (** The wire form, without re-encoding: the adopted string itself, or
+      its first {!total_length} bytes when it carries trailing bytes. *)
 
   val to_packet : t -> packet
+  (** A fresh record: one copy of the payload. *)
+
   val of_packet : packet -> t
   val pp : Format.formatter -> t -> unit
 end

@@ -33,6 +33,11 @@ let test_view_accessors () =
   let v = view_of p in
   checkb "src" true (Ipv4.equal (Ipv4_packet.View.src v) p.Ipv4_packet.src);
   checkb "dst" true (Ipv4.equal (Ipv4_packet.View.dst v) p.Ipv4_packet.dst);
+  checki "src bits" (Ipv4.to_bits p.Ipv4_packet.src)
+    (Ipv4_packet.View.src_bits v);
+  checki "bits are unsigned" 0xb8a4e001 (Ipv4_packet.View.src_bits v);
+  checki "dst bits" (Ipv4.to_bits p.Ipv4_packet.dst)
+    (Ipv4_packet.View.dst_bits v);
   checki "ttl" 17 (Ipv4_packet.View.ttl v);
   checkb "protocol" true (Ipv4_packet.View.protocol v = Ipv4_packet.Udp);
   checki "ident" 4242 (Ipv4_packet.View.ident v);
@@ -445,6 +450,152 @@ let hit_records ~tail () =
     (Data_enforcer.filter_stats (Router.data_enforcer cached.router)
     = Data_enforcer.filter_stats (Router.data_enforcer slow.router))
 
+(* -- per-hit allocation ------------------------------------------------------------- *)
+
+(* Minor-heap words a string of [n] bytes takes: a header word plus
+   [n + 1] bytes (the padding byte) rounded up to whole words. *)
+let string_words n = 1 + ((n + 8) / 8)
+
+(* What a tailless hit allocates besides its payload copy: the view's
+   [Ok], the record and its two boxed addresses, the enforcement
+   metadata, the clock reading and the neighbor lookup's option. *)
+let hit_overhead = 22
+
+(* The minor words of one flow-cache hit on a frame built beforehand,
+   delivered to a neighbor that allocates nothing. *)
+let words_per_hit ?data ~payload () =
+  let fx = make_router ?data () in
+  announce fx (pfx "192.168.0.0/24");
+  let delivered = ref 0 in
+  let ns = Option.get (Router.neighbor fx.router fx.n1) in
+  ns.Router.deliver <- (fun _ -> incr delivered);
+  let frame =
+    {
+      Eth.dst = ns.Router.info.Neighbor.virtual_mac;
+      src = Mac.local ~pool:9 9;
+      ethertype = Eth.Ipv4;
+      payload =
+        Ipv4_packet.encode
+          (packet ~dst:"192.168.0.9" ~payload:(String.make payload 'p') ());
+    }
+  in
+  let go () =
+    Router.forward_experiment_frame fx.router ~neighbor_id:fx.n1 frame
+  in
+  (* The miss, then a first hit. *)
+  go ();
+  go ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let hit = words go in
+  checki "every frame delivered" 3 !delivered;
+  checki "two hits" 2 (Router.counters fx.router).Router.flow_hits;
+  int_of_float (hit -. empty)
+
+(* A hit copies the payload once, into the record it forwards, and
+   otherwise allocates a fixed overhead whatever the frame's size. When
+   views copied the frame, the 1,472 B hit also paid a copy of the whole
+   frame and 22 more words (418 words in all). *)
+let test_hit_allocation () =
+  checki "minimum-size hit: the overhead plus one payload copy"
+    (hit_overhead + string_words 26)
+    (words_per_hit ~payload:26 ());
+  checki "1,472 B hit: the overhead plus one payload copy"
+    (hit_overhead + string_words 1472)
+    (words_per_hit ~payload:1472 ());
+  (* With a stateful tail the hit forwards the record the tail ran on,
+     TTL decremented in place: still one payload copy. *)
+  let tailed payload =
+    let d = Data_enforcer.create () in
+    Data_enforcer.add_filter d
+      (Data_enforcer.shaper ~name:"pop-shaper" ~rate:0. ~burst:1e9
+         ~key_of:(fun _ -> "pop") ());
+    words_per_hit ~data:d ~payload ()
+  in
+  checki "tail hit: one payload copy"
+    (string_words 1472 - string_words 26)
+    (tailed 1472 - tailed 26)
+
+(* -- flow key ---------------------------------------------------------------------- *)
+
+(* Frames that differ in only one part of the key — source MAC, source
+   address, destination address — never share an entry. The address
+   variants differ in the top bit alone, the sign of their [int32]. *)
+let test_flow_key_parts () =
+  let fx = make_router () in
+  announce fx (pfx "192.168.0.0/24");
+  announce fx (pfx "64.168.0.0/24");
+  let mac = Mac.local ~pool:9 9 in
+  let variants =
+    [
+      (mac, packet ~src:"184.164.224.1" ~dst:"192.168.0.9" ());
+      (Mac.local ~pool:9 10, packet ~src:"184.164.224.1" ~dst:"192.168.0.9" ());
+      (mac, packet ~src:"56.164.224.1" ~dst:"192.168.0.9" ());
+      (mac, packet ~src:"184.164.224.1" ~dst:"64.168.0.9" ());
+    ]
+  in
+  let c = Router.counters fx.router in
+  List.iter (fun (src_mac, p) -> fwd fx ~src_mac p) variants;
+  checki "each variant misses once" 4 c.Router.flow_misses;
+  checki "no variant hits another's entry" 0 c.Router.flow_hits;
+  List.iter (fun (src_mac, p) -> fwd fx ~src_mac p) variants;
+  checki "then each hits its own" 4 c.Router.flow_hits;
+  checki "and misses no more" 4 c.Router.flow_misses;
+  checkb "each delivered with its own destination" true
+    (List.sort compare
+       (List.map (fun q -> Ipv4.to_string q.Ipv4_packet.dst) !(fx.delivered))
+    = [ "192.168.0.9"; "192.168.0.9"; "192.168.0.9"; "192.168.0.9";
+        "192.168.0.9"; "192.168.0.9"; "64.168.0.9"; "64.168.0.9" ])
+
+type table_op = Replace of int * int | Find of int | Reset
+
+(* 100 keys from combinations of extreme parts: MACs at 0, 1 and the top
+   of their 48 bits, addresses around 2^31 (the [int32] sign) and at
+   both ends. *)
+let table_keys =
+  let macs = [| 0; 1; 0x7fffffffffff; 0xffffffffffff |] in
+  let addrs = [| 0; 1; 0x7fffffff; 0x80000000; 0xffffffff |] in
+  Array.init 100 (fun i ->
+      (macs.(i mod 4), addrs.(i / 4 mod 5), addrs.(i / 20 mod 5)))
+
+let prop_flow_table_model =
+  QCheck.Test.make ~name:"flow table matches a Hashtbl model" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 400)
+           (frequency
+              [
+                (8, map2 (fun k v -> Replace (k, v)) (int_bound 99) nat);
+                (8, map (fun k -> Find k) (int_bound 99));
+                (1, return Reset);
+              ])))
+    (fun ops ->
+      let t = Flow_table.create () in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              let mac, src, dst = table_keys.(k) in
+              Flow_table.replace t ~mac ~src ~dst v;
+              Hashtbl.replace model k v
+          | Find _ -> ()
+          | Reset ->
+              Flow_table.reset t;
+              Hashtbl.reset model);
+          Flow_table.length t = Hashtbl.length model
+          &&
+          match op with
+          | Find k | Replace (k, _) ->
+              let mac, src, dst = table_keys.(k) in
+              Flow_table.find t ~mac ~src ~dst = Hashtbl.find_opt model k
+          | Reset -> true)
+        ops)
+
 (* -- differential property: cached == slow path ------------------------------------ *)
 
 type op =
@@ -631,6 +782,11 @@ let () =
           Alcotest.test_case "tailless hit records equal the slow path's"
             `Quick (hit_records ~tail:false);
           QCheck_alcotest.to_alcotest prop_cached_equals_slow;
+          Alcotest.test_case "a hit copies the payload once" `Quick
+            test_hit_allocation;
+          Alcotest.test_case "key parts never share an entry" `Quick
+            test_flow_key_parts;
+          QCheck_alcotest.to_alcotest prop_flow_table_model;
         ] );
       ( "enforcer",
         [

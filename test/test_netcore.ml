@@ -301,6 +301,30 @@ let test_wire_truncation () =
 
 let p = Prefix.of_string_exn
 
+(* Host [.9] in each of 256 /24s, the shape of the data-plane benches'
+   destinations: indexed by the last octet they would all share one
+   slot; folded over every octet, a 256-slot cache holds them all, so a
+   second pass hits every one — whether the /24s differ in the third
+   octet (consecutive /24s) or in the second. *)
+let test_dcache_spreads_last_octet () =
+  List.iter
+    (fun (what, host) ->
+      let c = Dcache.create ~slots:256 () in
+      for i = 0 to 255 do
+        Dcache.store c (host i) (Some i)
+      done;
+      let hits = ref 0 in
+      for i = 0 to 255 do
+        match Dcache.find c (host i) with
+        | Some (Some j) when j = i -> incr hits
+        | _ -> ()
+      done;
+      checki what 256 !hits)
+    [
+      ("16.0.i.9: all 256 hit", fun i -> Ipv4.of_octets 16 0 i 9);
+      ("16.i.0.9: all 256 hit", fun i -> Ipv4.of_octets 16 i 0 9);
+    ]
+
 let test_ptrie_basics () =
   let t =
     Ptrie.V4.empty
@@ -688,6 +712,52 @@ let prop_ipv4_packet_roundtrip =
       | Ok q -> q = p
       | Error _ -> false)
 
+(* The header-and-payload encoding as the growable [Wire.Writer] built
+   it before [encode] wrote one exact-size buffer: the oracle the new
+   encoding must match byte for byte. *)
+let writer_encode (t : Ipv4_packet.t) =
+  let total = Ipv4_packet.header_size + String.length t.payload in
+  let w = Wire.Writer.create ~capacity:total () in
+  Wire.Writer.u8 w 0x45;
+  Wire.Writer.u8 w (t.dscp lsl 2);
+  Wire.Writer.u16 w total;
+  Wire.Writer.u16 w t.ident;
+  Wire.Writer.u16 w 0;
+  Wire.Writer.u8 w t.ttl;
+  Wire.Writer.u8 w (Ipv4_packet.protocol_to_int t.protocol);
+  let cksum_off = Wire.Writer.reserve w 2 in
+  Wire.Writer.u32 w (Ipv4.to_int32 t.src);
+  Wire.Writer.u32 w (Ipv4.to_int32 t.dst);
+  let header = Wire.Writer.contents w in
+  Wire.Writer.patch_u16 w cksum_off (Checksum.of_string header);
+  Wire.Writer.string w t.payload;
+  Wire.Writer.contents w
+
+(* Every header field over its whole range, addresses on both sides of
+   128.0.0.0 (a negative [int32]), payloads up to an MTU's worth. *)
+let gen_ipv4_packet =
+  QCheck.Gen.(
+    let addr = map Int32.of_int (int_bound 0xffff_ffff) in
+    map
+      (fun ((src, dst, ttl, proto), (ident, dscp, payload)) ->
+        Ipv4_packet.make ~ttl ~ident ~dscp ~src:(Ipv4.of_int32 src)
+          ~dst:(Ipv4.of_int32 dst)
+          ~protocol:(Ipv4_packet.protocol_of_int proto)
+          payload)
+      (pair
+         (quad addr addr (int_bound 255) (int_bound 255))
+         (triple (int_bound 0xffff) (int_bound 63)
+            (string_size ~gen:char (int_bound 1480)))))
+
+let prop_ipv4_encode_matches_writer =
+  QCheck.Test.make ~name:"ipv4 encode is byte-identical to the writer's"
+    ~count:300
+    (QCheck.make ~print:(Fmt.to_to_string Ipv4_packet.pp) gen_ipv4_packet)
+    (fun p ->
+      let wire = Ipv4_packet.encode p in
+      String.equal wire (writer_encode p)
+      && Ipv4_packet.decode wire = Ok p)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -701,6 +771,7 @@ let qcheck_cases =
       prop_mac_roundtrip;
       prop_checksum_patch_verifies;
       prop_ipv4_packet_roundtrip;
+      prop_ipv4_encode_matches_writer;
     ]
 
 let () =
@@ -754,6 +825,11 @@ let () =
           Alcotest.test_case "writer/reader" `Quick test_wire_writer_reader;
           Alcotest.test_case "patch" `Quick test_wire_patch;
           Alcotest.test_case "truncation" `Quick test_wire_truncation;
+        ] );
+      ( "dcache",
+        [
+          Alcotest.test_case "hosts sharing a last octet spread out" `Quick
+            test_dcache_spreads_last_octet;
         ] );
       ( "ptrie",
         [
