@@ -1,6 +1,6 @@
 # Tier-1 verification: build, formatting, tests.
 
-.PHONY: all build fmt test bench bench-smoke chaos par par-ingest export-par drill perfbench-selftest check fullscale
+.PHONY: all build fmt test bench bench-smoke chaos par export-par drill perfbench-selftest check fullscale
 
 all: build
 
@@ -27,35 +27,27 @@ fullscale:
 
 # Short runs of the benches that stay out of the test suites (used by
 # `make check`, ~2 s). Each checks its headline numbers in-process and
-# the run exits non-zero when one fails: the exact flow-cache, front-cache
-# and wire-cache counts, zero staging residuals, fullscale's RIB bytes,
-# and the timing floors (fwd cached/cold >= 3.15x, export-par 4-lane
-# flush >= 0.54x, fullscale >= 54k updates/s). The counts the deleted
-# benches used to report are exact assertions in test/.
+# the run exits non-zero when one fails: the exact flow-cache and
+# wire-cache counts, export-par's zero staged residual, fullscale's RIB
+# bytes, and the timing floors (fwd cached/cold >= 3.15x, export-par
+# 4-lane flush >= 0.54x, fullscale >= 54k updates/s). The counts the
+# deleted benches used to report are exact assertions in test/.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke fwd ingest-par export-par fullscale
+	dune exec bench/main.exe -- --smoke fwd export-par fullscale
 
 # Fault-injection convergence suite (also part of `dune runtest`).
 chaos:
 	dune exec test/test_chaos.exe
 
-# The lane suites. The ingest and export lanes both sit on the `Lanes`
-# pool (lib/core/lanes.ml); their suites run a `Router.create ~lanes:4`
-# router against a `~lanes:1` one.
+# The lane suites. The export lane sits on the `Lanes` pool
+# (lib/core/lanes.ml); its suite runs a `Router.create ~lanes:4` router
+# against a `~lanes:1` one.
 #
 # Lanes pool: the pool's own contract (inline single lane, idempotent
-# shutdown and respawn, queue high-water marks, exception safety) and the
-# attribute arena under an intern storm from four domains (also part of
-# `dune runtest`).
+# shutdown and respawn, queue high-water marks, exception safety) (also
+# part of `dune runtest`).
 par:
 	dune exec test/test_lanes.exe
-
-# Ingest lane: the 4-lane-vs-sequential fingerprint differential (incl.
-# graceful restart and mid-churn session kills), decode-error counting at
-# either lane count, the neighbor hash and lane-count validation (also
-# part of `dune runtest`).
-par-ingest:
-	dune exec test/test_par_ingest.exe
 
 # Export lane: the 4-lane-vs-sequential differential on Adj-RIB-Out
 # fingerprints, exact counters and per-neighbor wire-byte transcripts (incl.
@@ -78,4 +70,4 @@ drill:
 perfbench-selftest:
 	dune build @perfbench/selftest
 
-check: fmt build test chaos par par-ingest export-par drill perfbench-selftest bench-smoke
+check: fmt build test chaos par export-par drill perfbench-selftest bench-smoke

@@ -8,12 +8,12 @@
 
      dune exec bench/main.exe -- fig6a fig6b throughput amsix table1 census
                                  security ratelimit fleet ablate fwd
-                                 ingest-par export-par fullscale
+                                 export-par fullscale
 
    [--smoke] shrinks the runs and checks their headline numbers, exiting
    non-zero when one fails; [make check] runs
 
-     dune exec bench/main.exe -- --smoke fwd ingest-par export-par fullscale
+     dune exec bench/main.exe -- --smoke fwd export-par fullscale
 
    Paper-vs-measured numbers for each experiment are recorded in
    EXPERIMENTS.md. Absolute numbers differ from the paper's (their substrate
@@ -1008,166 +1008,6 @@ let fwd () =
   expect (speedup >= 3.15) "fwd: cached/cold speedup %.2fx below 3.15x" speedup
 
 (* ------------------------------------------------------------------------- *)
-(* Parallel ingest lane: wire-format UPDATE batches hash-partitioned over   *)
-(* ingest worker domains — each worker owns its neighbors' decode, intern   *)
-(* and Adj-RIB-In writes; the single writer reconciles FIB + dirty queue    *)
-(* at the drain — vs the sequential batched path. Every pass re-announces   *)
-(* the table with a fresh MED so the unchanged short-circuit never fires    *)
-(* and each pass pays the full decode + intern + RIB + dirty cost. The     *)
-(* smoke run checks the front-cache hit counts and the staging residual,    *)
-(* which must be exactly zero after the final drain. The 4-lane speedup is  *)
-(* printed, not checked: on a 2-vCPU quota-throttled host it is noise.      *)
-(* ------------------------------------------------------------------------- *)
-
-let ingest_par () =
-  section "control-plane ingest: parallel decode + per-neighbor RIB lanes";
-  let nbr_count = 16 in
-  let routes = if !smoke then 4_096 else 32_768 in
-  let per_update = 8 in
-  let counts = if !smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let neighbor_ip i = Ipv4.of_int32 (Int32.of_int (0x64400001 + i)) in
-  let per_nbr = routes / nbr_count in
-  let groups = per_nbr / per_update in
-  (* Pre-encoded wire passes, neighbors interleaved so every batch spans
-     all the lanes: pass [k] re-announces the whole table with MED [k].
-     Built once and replayed against every lane count, so all runs
-     decode byte-identical input. *)
-  let passes =
-    Array.init 6 (fun k ->
-        let items = ref [] in
-        for g = groups - 1 downto 0 do
-          for nb = nbr_count - 1 downto 0 do
-            (* 8 distinct attribute sets per neighbor per pass — the real
-               -table shape where many routes repeat the same path
-               attributes, which is what the per-lane front cache (and
-               the arena behind it) exists to exploit. *)
-            let attrs =
-              Attr.origin_attrs
-                ~as_path:
-                  (Aspath.of_asns [ asn (65010 + (g mod 8)); asn (100 + nb) ])
-                ~next_hop:(neighbor_ip nb) ()
-              |> Attr.with_med k
-            in
-            let announced =
-              List.init per_update (fun j ->
-                  Msg.nlri
-                    (synth_prefix ((nb * per_nbr) + (g * per_update) + j)))
-            in
-            items :=
-              (nb, Codec.encode (Msg.Update (Msg.update ~attrs ~announced ())))
-              :: !items
-          done
-        done;
-        Array.of_list !items)
-  in
-  let make_router lanes =
-    let engine = Sim.Engine.create () in
-    let global_pool =
-      Vbgp.Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
-    in
-    let router =
-      Vbgp.Router.create ~engine ~name:"ingest" ~asn:(asn 47065)
-        ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-        ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes ()
-    in
-    Vbgp.Router.activate router;
-    let ids =
-      Array.init nbr_count (fun i ->
-          let nip = neighbor_ip i in
-          let id, npair =
-            Vbgp.Router.add_neighbor router ~asn:(asn (100 + i)) ~ip:nip
-              ~kind:Vbgp.Neighbor.Transit ~remote_id:nip ()
-          in
-          Sim.Bgp_wire.start npair;
-          id)
-    in
-    Sim.Engine.run_until engine 10.;
-    (router, ids)
-  in
-  let feed_pass router ids pass =
-    let len = Array.length pass in
-    let batchn = 256 in
-    let i = ref 0 in
-    while !i < len do
-      let m = min batchn (len - !i) in
-      let batch =
-        Array.init m (fun j ->
-            let idx, bytes = pass.(!i + j) in
-            (ids.(idx), Vbgp.Router.Wire bytes))
-      in
-      Vbgp.Router.ingest_updates router batch;
-      i := !i + m
-    done;
-    Vbgp.Router.flush_reexports router
-  in
-  let run lanes =
-    let router, ids = make_router lanes in
-    (* Warm-up pass outside the timed window: spawns the worker domains,
-       loads the table and fills the per-lane intern front caches. *)
-    feed_pass router ids passes.(0);
-    let timed k =
-      let t0 = Unix.gettimeofday () in
-      feed_pass router ids passes.(k);
-      float_of_int (Array.length passes.(k))
-      /. (Unix.gettimeofday () -. t0)
-    in
-    (* Best of five timed passes, each with its own MED version so none
-       is short-circuited: the speedup ratio divides two noisy numbers,
-       so both sides get the widest honest sample. *)
-    let ups =
-      List.fold_left
-        (fun best k -> Float.max best (timed k))
-        0. [ 1; 2; 3; 4; 5 ]
-    in
-    if Vbgp.Router.route_count router <> routes then
-      failwith
-        (Printf.sprintf "ingest-par: %d-lane run holds %d routes, expected %d"
-           lanes
-           (Vbgp.Router.route_count router)
-           routes);
-    let st = Vbgp.Router.ingest_stats router in
-    if st.Vbgp.Router.decode_errors <> 0 then
-      failwith
-        (Printf.sprintf "ingest-par: %d-lane run hit %d decode errors"
-           lanes st.Vbgp.Router.decode_errors);
-    Vbgp.Router.shutdown_domains router;
-    (* Per-lane queue high-water marks show whether the neighbor hash
-       starved a lane. *)
-    Fmt.pr "  %-32s %12.0f updates/s (queue high-water %a)@."
-      (Printf.sprintf "%d lane%s" lanes
-         (if lanes = 1 then "" else "s"))
-      ups
-      Fmt.(array ~sep:(any " ") int)
-      st.Vbgp.Router.queue_depth_max;
-    (ups, st)
-  in
-  let results = List.map (fun d -> (d, run d)) counts in
-  let ups_of d = fst (List.assoc d results) in
-  let speedup = ups_of 4 /. ups_of 1 in
-  let st4 = snd (List.assoc 4 results) in
-  let fc_total = st4.Vbgp.Router.front_hits + st4.Vbgp.Router.front_misses in
-  let front_hit_rate =
-    100. *. float_of_int st4.Vbgp.Router.front_hits
-    /. float_of_int (max 1 fc_total)
-  in
-  Fmt.pr
-    "  4-lane speedup %.2fx, front-cache hit rate %.2f%%, staging residual \
-     %d@."
-    speedup front_hit_rate st4.Vbgp.Router.staging_residual;
-  (* The lanes' front caches hit 74.6094% (2292 of 3072) of the 4-lane
-     run's interns, and the final drain leaves nothing staged. The
-     speedup is not checked: on a 2-vCPU quota-throttled host it is
-     noise. *)
-  expect
-    (st4.Vbgp.Router.front_hits = 2292 && st4.Vbgp.Router.front_misses = 780)
-    "ingest-par: front cache %d hits / %d misses, expected 2292 / 780"
-    st4.Vbgp.Router.front_hits st4.Vbgp.Router.front_misses;
-  expect
-    (st4.Vbgp.Router.staging_residual = 0)
-    "ingest-par: staging residual %d, expected 0"
-    st4.Vbgp.Router.staging_residual
-
-(* ------------------------------------------------------------------------- *)
 (* Export-par: the dirty-prefix flush toward neighbors across 1/2/4/8       *)
 (* export lanes, with the encode-once wire cache. An experiment             *)
 (* re-announces a large prefix set with a fresh MED each pass so every      *)
@@ -1606,7 +1446,6 @@ let experiments =
     ("fleet", fleet);
     ("ablate", ablate);
     ("fwd", fwd);
-    ("ingest-par", ingest_par);
     ("export-par", export_par);
     ("fullscale", fullscale);
   ]

@@ -5,13 +5,10 @@
    Adj-RIB-Out entry referencing a handle goes away, the GC reclaims the
    entry — no refcounting in the router planes.
 
-   The table is striped: [stripes] independent weak sets, each behind its
-   own mutex, selected by the canonical set's hash. Interns for different
-   attribute sets land on different stripes with high probability, so
-   concurrent ingest workers rarely serialize on one lock (the PR 7
-   arena used a single mutex, which was the known contention point once
-   several domains interned at once). Ids come from one [Atomic] counter,
-   taken only on a miss, so handles stay globally unique and dense. *)
+   One mutex guards the table, its id counter and its counters:
+   [global] is process-wide state, so an intern from any domain stays
+   safe. Ids are taken only on a miss, so handles stay unique and
+   dense. *)
 
 type handle = { id : int; set : Attr.set }
 
@@ -26,75 +23,62 @@ end
 
 module W = Weak.Make (Key)
 
-(* One stripe: a weak table, the mutex serializing its probe/resize, and
-   plain counters (mutated only under the stripe's lock). [locks] counts
+(* The table and the plain counters mutated under [lock]. [locks] counts
    every acquisition on the intern path; [contended] the subset where a
-   [try_lock] failed first — i.e. another domain held this stripe at
-   that moment. *)
-type stripe = {
+   [try_lock] failed first — i.e. another domain held the table at that
+   moment. *)
+type t = {
   tbl : W.t;
   lock : Mutex.t;
+  mutable next_id : int;
   mutable hits : int;
   mutable misses : int;
   mutable locks : int;
   mutable contended : int;
 }
 
-type t = { stripes : stripe array; mask : int; next_id : int Atomic.t }
-
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
-
-let create ?(size = 1024) ?(stripes = 8) () =
-  let stripes = pow2_at_least (max 1 stripes) 1 in
+let create ?(size = 1024) () =
   {
-    stripes =
-      Array.init stripes (fun _ ->
-          {
-            tbl = W.create (max 8 (size / stripes));
-            lock = Mutex.create ();
-            hits = 0;
-            misses = 0;
-            locks = 0;
-            contended = 0;
-          });
-    mask = stripes - 1;
-    next_id = Atomic.make 0;
+    tbl = W.create (max 8 size);
+    lock = Mutex.create ();
+    next_id = 0;
+    hits = 0;
+    misses = 0;
+    locks = 0;
+    contended = 0;
   }
 
 (* One arena for the whole platform: sharing across routers, tables and
    planes is the point. *)
-let global = create ~size:4096 ~stripes:16 ()
+let global = create ~size:4096 ()
 
-(* Lock a stripe, counting the acquisition and whether it contended. *)
-let stripe_lock s =
-  if Mutex.try_lock s.lock then s.locks <- s.locks + 1
+(* Lock the table, counting the acquisition and whether it contended. *)
+let lock t =
+  if Mutex.try_lock t.lock then t.locks <- t.locks + 1
   else begin
-    Mutex.lock s.lock;
-    s.locks <- s.locks + 1;
-    s.contended <- s.contended + 1
+    Mutex.lock t.lock;
+    t.locks <- t.locks + 1;
+    t.contended <- t.contended + 1
   end
 
-(* Intern an already-canonicalized (sorted) set. *)
-let intern_sorted arena sorted =
-  let s = arena.stripes.(Attr.hash_set sorted land arena.mask) in
-  stripe_lock s;
+let intern ?(arena = global) set =
+  (* Canonicalization is pure; only the table probe needs the lock. *)
+  let sorted = Attr.sort set in
+  lock arena;
   let found =
-    match W.find_opt s.tbl { id = -1; set = sorted } with
+    match W.find_opt arena.tbl { id = -1; set = sorted } with
     | Some h ->
-        s.hits <- s.hits + 1;
+        arena.hits <- arena.hits + 1;
         h
     | None ->
-        let h = { id = Atomic.fetch_and_add arena.next_id 1; set = sorted } in
-        W.add s.tbl h;
-        s.misses <- s.misses + 1;
+        let h = { id = arena.next_id; set = sorted } in
+        arena.next_id <- arena.next_id + 1;
+        W.add arena.tbl h;
+        arena.misses <- arena.misses + 1;
         h
   in
-  Mutex.unlock s.lock;
+  Mutex.unlock arena.lock;
   found
-
-let intern ?(arena = global) set =
-  (* Canonicalization is pure; only the stripe probe needs the lock. *)
-  intern_sorted arena (Attr.sort set)
 
 let intern_set ?arena s = (intern ?arena s).set
 let set h = h.set
@@ -112,73 +96,23 @@ type stats = {
 }
 
 let stats ?(arena = global) () =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let acc =
-        {
-          hits = acc.hits + s.hits;
-          misses = acc.misses + s.misses;
-          live = acc.live + W.count s.tbl;
-          locks = acc.locks + s.locks;
-          contended = acc.contended + s.contended;
-        }
-      in
-      Mutex.unlock s.lock;
-      acc)
-    { hits = 0; misses = 0; live = 0; locks = 0; contended = 0 }
-    arena.stripes
+  Mutex.lock arena.lock;
+  let s =
+    {
+      hits = arena.hits;
+      misses = arena.misses;
+      live = W.count arena.tbl;
+      locks = arena.locks;
+      contended = arena.contended;
+    }
+  in
+  Mutex.unlock arena.lock;
+  s
 
 let reset_stats ?(arena = global) () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      s.hits <- 0;
-      s.misses <- 0;
-      s.locks <- 0;
-      s.contended <- 0;
-      Mutex.unlock s.lock)
-    arena.stripes
-
-(* -- per-domain intern front cache ------------------------------------------ *)
-
-(* A small direct-mapped memo in front of the arena, owned by exactly one
-   domain (no locks): a hit resolves a set to its canonical handle
-   without touching any stripe at all. The ingest workers keep one each —
-   full-table feeds repeat a modest number of distinct attribute sets, so
-   most interns never reach the shared arena. *)
-module Front = struct
-  type cache = {
-    fc_arena : t;
-    fc_slots : handle option array;
-    fc_mask : int;
-    mutable fc_hits : int;
-    mutable fc_misses : int;
-  }
-
-  let create ?(arena = global) ?(slots = 4096) () =
-    let slots = pow2_at_least (max 2 slots) 2 in
-    {
-      fc_arena = arena;
-      fc_slots = Array.make slots None;
-      fc_mask = slots - 1;
-      fc_hits = 0;
-      fc_misses = 0;
-    }
-
-  let intern c set =
-    let sorted = Attr.sort set in
-    let i = Attr.hash_set sorted land c.fc_mask in
-    match c.fc_slots.(i) with
-    | Some h when h.set == sorted || Attr.equal_set h.set sorted ->
-        c.fc_hits <- c.fc_hits + 1;
-        h
-    | _ ->
-        c.fc_misses <- c.fc_misses + 1;
-        let h = intern_sorted c.fc_arena sorted in
-        c.fc_slots.(i) <- Some h;
-        h
-
-  let hits c = c.fc_hits
-  let misses c = c.fc_misses
-end
+  Mutex.lock arena.lock;
+  arena.hits <- 0;
+  arena.misses <- 0;
+  arena.locks <- 0;
+  arena.contended <- 0;
+  Mutex.unlock arena.lock

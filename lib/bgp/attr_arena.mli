@@ -10,16 +10,12 @@
     Handles are weak-table backed: an attribute set whose last route is
     withdrawn is reclaimed by the GC; nothing needs explicit release.
 
-    {b Concurrency:} arenas are domain-safe. The table is striped: each
-    stripe (selected by the canonical set's hash) is an independent weak
-    set behind its own mutex, so interns for different attribute sets
-    from different domains rarely serialize on the same lock; handle ids
-    come from one [Atomic] counter, so handles stay unique platform-wide.
-    Handles themselves are immutable values, so every read-side
+    {b Concurrency:} an arena is domain-safe. One mutex serializes the
+    table probe, the id counter and the counters, so {!global} — state
+    shared by the whole process — stays consistent whichever domain
+    interns. Handles themselves are immutable values, so every read-side
     operation — {!equal}, {!hash}, {!id}, {!set}, pattern matching on a
-    handle — is lock-free and safe from any domain. For a single domain
-    doing bulk interning (an ingest worker), {!Front} removes even the
-    uncontended lock from the common case. *)
+    handle — is lock-free and safe from any domain. *)
 
 type handle = private { id : int; set : Attr.set }
 (** A canonical interned attribute set. Two handles for observationally
@@ -28,16 +24,15 @@ type handle = private { id : int; set : Attr.set }
 type t
 (** An arena. Most callers use {!global} (sharing is platform-wide). *)
 
-val create : ?size:int -> ?stripes:int -> unit -> t
-(** [stripes] is rounded up to a power of two (default 8; {!global} uses
-    16). [size] is the initial weak capacity spread across stripes. *)
+val create : ?size:int -> unit -> t
+(** [size] is the initial weak capacity (default 1024). *)
 
 val global : t
 
 val intern : ?arena:t -> Attr.set -> handle
 (** Canonicalize (sort by type code) and return the unique handle for
     the set, allocating one on first sight. O(size of the set).
-    Domain-safe: the table probe is serialized per stripe. *)
+    Domain-safe: the table probe is serialized by the arena's lock. *)
 
 val intern_set : ?arena:t -> Attr.set -> Attr.set
 (** [(intern s).set]: the canonical physically-shared representation. *)
@@ -59,37 +54,14 @@ type stats = {
   hits : int;  (** interns that found an existing handle *)
   misses : int;  (** interns that allocated a new handle *)
   live : int;  (** handles currently alive (weak count) *)
-  locks : int;  (** stripe-lock acquisitions on the intern path *)
+  locks : int;  (** lock acquisitions on the intern path *)
   contended : int;
       (** acquisitions where a [try_lock] failed first, i.e. another
-          domain held the stripe at that moment *)
+          domain held the lock at that moment *)
 }
 
 val stats : ?arena:t -> unit -> stats
-(** Summed across stripes. *)
 
 val reset_stats : ?arena:t -> unit -> unit
 (** Zero the hit/miss/lock counters (benchmark harness); live is
     untouched. *)
-
-(** {1 Per-domain intern front cache}
-
-    A small direct-mapped memo in front of an arena. A cache must be
-    owned by exactly one domain at a time (it is unsynchronized); on a
-    hit it resolves a set to its canonical handle without touching any
-    stripe lock. The parallel ingest workers keep one each — full-table
-    feeds repeat a modest number of distinct attribute sets, so most
-    interns never reach the shared arena at all. *)
-module Front : sig
-  type cache
-
-  val create : ?arena:t -> ?slots:int -> unit -> cache
-  (** [slots] is rounded up to a power of two (default 4096). *)
-
-  val intern : cache -> Attr.set -> handle
-  (** Same contract as {!val:intern} (same arena, same handles — a front
-      cache never affects which handle a set resolves to). *)
-
-  val hits : cache -> int
-  val misses : cache -> int
-end

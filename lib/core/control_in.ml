@@ -177,47 +177,39 @@ let sync_experiment t (e : experiment_state) =
 
 (* -- neighbor route learning ----------------------------------------------- *)
 
-(* The ingest step's view of a neighbor, built from live state, so
-   session kills, GR retentions and resyncs since the previous update are
-   always seen. *)
-let ingest_target (ns : neighbor_state) =
-  {
-    Ingest_pool.tg_id = ns.info.Neighbor.id;
-    tg_peer_ip = ns.info.Neighbor.ip;
-    tg_peer_asn = ns.info.Neighbor.asn;
-    tg_rib = ns.rib_in;
-    tg_gr = Option.map (fun (h : _ gr_hold) -> h.stale) ns.gr;
-  }
+(* A withdrawn route of neighbor [ns] reaches shared state: the dirty-queue
+   mark, or on an unbatched router the eager withdraw fan-out. *)
+let export_withdraw t (ns : neighbor_state) prefix =
+  if t.ingest_batching then mark_ingest_dirty t ns prefix
+  else begin
+    export_withdraw_to_experiments t ns prefix;
+    export_withdraw_to_mesh t ns prefix
+  end
 
-(* Apply one route delta of the ingest step to shared state: the FIB
-   write, then the dirty-queue mark — or, on an unbatched router, the
-   eager fan-out of the update's [attrs]. The sink of the sequential
-   path and of the lane's replay alike. *)
-let apply_delta t (ns : neighbor_state) fib ~attrs prefix = function
-  | Ingest_pool.D_withdraw best_changed ->
-      Rib.Fib.remove fib prefix;
-      if t.ingest_batching then begin
-        if best_changed then mark_ingest_dirty t ns prefix
-      end
-      else begin
-        export_withdraw_to_experiments t ns prefix;
-        export_withdraw_to_mesh t ns prefix
-      end
-  | Ingest_pool.D_install entry ->
-      Rib.Fib.insert fib prefix entry;
-      if t.ingest_batching then mark_ingest_dirty t ns prefix
-      else begin
-        export_route_to_experiments t ns prefix attrs;
-        export_route_to_mesh t ns prefix attrs
-      end
+(* The FIB remove is unconditional. A batched router marks the prefix
+   dirty only when the best route changed; the eager path withdraws
+   regardless. *)
+let apply_withdraw t (ns : neighbor_state) fib prefix ~best_changed =
+  Rib.Fib.remove fib prefix;
+  if best_changed || not t.ingest_batching then export_withdraw t ns prefix
 
-(* Process one UPDATE from neighbor [id]; public so benchmarks can drive the
-   pipeline without sessions.
+let apply_install t (ns : neighbor_state) fib prefix entry attrs =
+  Rib.Fib.insert fib prefix entry;
+  if t.ingest_batching then mark_ingest_dirty t ns prefix
+  else begin
+    export_route_to_experiments t ns prefix attrs;
+    export_route_to_mesh t ns prefix attrs
+  end
 
-   Re-announcements identical to the installed route (same key, same
-   attributes) are absorbed silently: after a graceful restart the
-   neighbor replays its full table, and the dedup keeps that resync off
-   the experiment and mesh wires entirely. *)
+(* Process one UPDATE from neighbor [id]: the one ingest step; public so
+   benchmarks can drive the pipeline without sessions.
+
+   The GR unmark fires for *every* NLRI: a re-announcement identical to
+   the installed route (same key, same attributes) refreshes the stale
+   mark even though it installs nothing. Those re-announcements are
+   absorbed silently: after a graceful restart the neighbor replays its
+   full table, and the dedup keeps that resync off the experiment and
+   mesh wires entirely. *)
 let process_neighbor_update t ~neighbor_id (u : Msg.update) =
   match neighbor t neighbor_id with
   | None -> invalid_arg "Router.process_neighbor_update: unknown neighbor"
@@ -225,45 +217,68 @@ let process_neighbor_update t ~neighbor_id (u : Msg.update) =
       t.counters.updates_from_neighbors <-
         t.counters.updates_from_neighbors + 1;
       let fib = Rib.Fib.Set.table t.fibs neighbor_id in
-      Ingest_pool.ingest_update
-        ~intern:(fun attrs -> Attr_arena.intern attrs)
-        ~apply:(fun prefix delta ->
-          apply_delta t ns fib ~attrs:u.attrs prefix delta)
-        ~now:(Engine.now t.engine) (ingest_target ns) u
+      let peer_ip = ns.info.Neighbor.ip in
+      List.iter
+        (fun (n : Msg.nlri) ->
+          gr_unmark ns.gr n.prefix;
+          let best_changed =
+            match
+              Rib.Table.withdraw ns.rib_in ~prefix:n.prefix ~peer_ip
+                ~path_id:None
+            with
+            | Rib.Table.Best_changed _ -> true
+            | Rib.Table.Unchanged -> false
+          in
+          apply_withdraw t ns fib n.prefix ~best_changed)
+        u.withdrawn;
+      if u.announced <> [] then begin
+        (* Per-NLRI constants hoisted out of the loop: one intern for the
+           whole list (the unchanged check becomes O(1) and installed
+           routes share the canonical set) and one FIB entry. *)
+        let source =
+          Rib.Route.source ~peer_ip ~peer_asn:ns.info.Neighbor.asn ()
+        in
+        let attrs_h = Attr_arena.intern u.attrs in
+        let entry = { Rib.Fib.next_hop = peer_ip; neighbor = neighbor_id } in
+        let now = Engine.now t.engine in
+        List.iter
+          (fun (n : Msg.nlri) ->
+            gr_unmark ns.gr n.prefix;
+            let unchanged =
+              List.exists
+                (fun (r : Rib.Route.t) ->
+                  Rib.Route.key_matches ~peer_ip ~path_id:None r
+                  && Attr_arena.equal (Rib.Route.attrs_handle r) attrs_h)
+                (Rib.Table.candidates ns.rib_in n.prefix)
+            in
+            if not unchanged then begin
+              ignore
+                (Rib.Table.update ns.rib_in
+                   (Rib.Route.make_h ~learned_at:now ~prefix:n.prefix
+                      ~attrs_h ~source ()));
+              apply_install t ns fib n.prefix entry u.attrs
+            end)
+          u.announced
+      end
 
-(* Ingest a batch of updates, fanned across the ingest lanes on a router
-   created with [?lanes:n > 1] and processed inline (in batch order)
-   otherwise. The two paths produce bit-identical RIB/FIB/heard/export
-   state and counters — the differential suite pins this. Raw [Wire]
-   payloads are decoded on the lanes (the dominant ingest cost);
-   non-UPDATE messages are ignored, undecodable bytes counted as decode
-   errors on either path. *)
+type payload = Wire of string | Update of Msg.update
+
+(* Ingest a batch of updates in batch order. Non-UPDATE messages are
+   ignored; undecodable bytes are counted as decode errors. *)
 let ingest_updates t batch =
-  let pool = t.ingest_pool in
-  if t.lanes = 1 then
-    Array.iter
-      (fun (nid, payload) ->
-        if neighbor t nid = None then
-          invalid_arg "Router.ingest_updates: unknown neighbor";
-        match Ingest_pool.decode pool payload with
-        | Some u -> process_neighbor_update t ~neighbor_id:nid u
-        | None -> ())
-      batch
-  else begin
-    Ingest_pool.run pool ~now:(Engine.now t.engine)
-      ~resolve:(fun nid -> Option.map ingest_target (neighbor t nid))
-      batch;
-    Ingest_pool.consume pool
-      ~apply:(fun ~nid ~prefix delta ->
-        match neighbor t nid with
-        | Some ns ->
-            apply_delta t ns (Rib.Fib.Set.table t.fibs nid) ~attrs:[] prefix
-              delta
-        | None -> ())
-      ~updates:(fun n ->
-        t.counters.updates_from_neighbors <-
-          t.counters.updates_from_neighbors + n)
-  end
+  Array.iter
+    (fun (nid, payload) ->
+      if not (Hashtbl.mem t.neighbors nid) then
+        invalid_arg "Router.ingest_updates: unknown neighbor";
+      match payload with
+      | Update u -> process_neighbor_update t ~neighbor_id:nid u
+      | Wire bytes -> (
+          match Codec.decode bytes with
+          | Ok (Msg.Update u) -> process_neighbor_update t ~neighbor_id:nid u
+          | Ok _ -> ()
+          | Error _ ->
+              t.counters.decode_errors <- t.counters.decode_errors + 1))
+    batch
 
 (* -- session loss: hard drop, stale retention, resync ----------------------- *)
 
@@ -280,12 +295,7 @@ let hard_drop_neighbor t (ns : neighbor_state) =
   Rib.Fib.clear (Rib.Fib.Set.table t.fibs ns.info.Neighbor.id);
   List.iter
     (function
-      | Rib.Table.Best_changed (prefix, None) ->
-          if t.ingest_batching then mark_ingest_dirty t ns prefix
-          else begin
-            export_withdraw_to_experiments t ns prefix;
-            export_withdraw_to_mesh t ns prefix
-          end
+      | Rib.Table.Best_changed (prefix, None) -> export_withdraw t ns prefix
       | _ -> ())
     changes
 
@@ -295,11 +305,7 @@ let drop_stale_route t (ns : neighbor_state) prefix =
     (Rib.Table.withdraw ns.rib_in ~prefix ~peer_ip:ns.info.Neighbor.ip
        ~path_id:None);
   Rib.Fib.remove (Rib.Fib.Set.table t.fibs ns.info.Neighbor.id) prefix;
-  if t.ingest_batching then mark_ingest_dirty t ns prefix
-  else begin
-    export_withdraw_to_experiments t ns prefix;
-    export_withdraw_to_mesh t ns prefix
-  end
+  export_withdraw t ns prefix
 
 (* Graceful down: keep the Adj-RIB-In and FIB (forwarding state is
    preserved, RFC 4724), mark every prefix stale, and fall back to the

@@ -46,23 +46,23 @@ val flush_ingest : Router_state.t -> unit
 
 val process_neighbor_update :
   Router_state.t -> neighbor_id:int -> Msg.update -> unit
-(** The full vBGP ingress pipeline: per-neighbor RIB and FIB maintenance,
+(** The one ingest step, the full vBGP ingress pipeline: GR unmark,
+    Adj-RIB-In withdraw and install (one attribute intern per update,
+    re-announcements of the installed route absorbed), FIB writes,
     next-hop rewriting, ADD-PATH export to experiments, backbone export.
     With batched ingest (the default), RIB/FIB writes and the decision
     process run in-band while export fan-out is deferred to the
     dirty-queue flush at the current engine tick. *)
 
-val ingest_updates : Router_state.t -> (int * Ingest_pool.payload) array -> unit
-(** Ingest a batch of (neighbor id, update) items through the pipeline.
-    On a router created with [?lanes:n > 1], the batch is
-    hash-partitioned by neighbor id across the ingest lanes — which own
-    the wire decode, attribute intern and Adj-RIB-In writes — and
-    reconciled into the FIB + dirty queue on the single writer; on a
-    1-lane router, items are processed inline in batch order. Both paths
-    run the same ingest step ({!Ingest_pool.ingest_update}), produce
-    bit-identical state and counters, and count undecodable wire items
-    in {!Ingest_pool.stats}. Raises [Invalid_argument] on an unknown
-    neighbor id. *)
+(** An item for {!ingest_updates}: raw wire bytes or an already-decoded
+    update. *)
+type payload = Wire of string | Update of Msg.update
+
+val ingest_updates : Router_state.t -> (int * payload) array -> unit
+(** Ingest a batch of (neighbor id, item) pairs in batch order through
+    {!process_neighbor_update}. Non-UPDATE messages are ignored;
+    undecodable bytes are counted in [decode_errors]. Raises
+    [Invalid_argument] on an unknown neighbor id. *)
 
 val add_neighbor :
   Router_state.t ->

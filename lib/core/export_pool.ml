@@ -83,7 +83,7 @@ type lane = {
 }
 
 type t = {
-  lanes : (lane, job option, unit) Lanes.t;
+  lanes : (lane, job option) Lanes.t;
   group : Attr_arena.handle Prefix.Tbl.t;
   overrides : (int * Attr_arena.handle option) list Prefix.Tbl.t;
       (** per prefix, sorted by neighbor id; never an empty list *)
@@ -205,7 +205,7 @@ let create ~lanes () =
     lanes =
       Lanes.create ~lanes ~dummy:None
         ~init:(fun _ -> { l_blocks = Hashtbl.create 16; l_block_keys = [] })
-        ~work:(fun () l -> function Some j -> encode l j | None -> ());
+        ~work:(fun l -> function Some j -> encode l j | None -> ());
     group = Prefix.Tbl.create 64;
     overrides = Prefix.Tbl.create 64;
     pending = [];
@@ -420,7 +420,7 @@ let flush t ~prefixes ~targets ~facing ?log () =
       slots
   in
   t.pending <- pending;
-  Lanes.run t.lanes ()
+  Lanes.run t.lanes
 
 (* -- step 3, on the coordinator: replay --------------------------------------- *)
 

@@ -1,5 +1,4 @@
-(* Worker lanes: the parked-domain protocol shared by the ingest lane and
-   the export lane. See lanes.mli for the contract; the comments here
+(* Worker lanes: the parked-domain protocol behind the export lane. See lanes.mli for the contract; the comments here
    cover the mechanics. *)
 
 type ('s, 'i) lane = {
@@ -19,14 +18,13 @@ type wstate =
   | W_failed of exn * Printexc.raw_backtrace
   | W_quit
 
-type ('s, 'i, 'c) t = {
+type ('s, 'i) t = {
   lanes : ('s, 'i) lane array;
   dummy : 'i;
-  work : 'c -> 's -> 'i -> unit;
+  work : 's -> 'i -> unit;
   lock : Mutex.t;
   cond : Condition.t;
   w_state : wstate array;  (** one slot per worker, [count - 1] long *)
-  mutable ctx : 'c option;  (** the context of the run in progress *)
   mutable handles : unit Domain.t array;  (** [ [||] ] = not spawned *)
 }
 
@@ -41,14 +39,12 @@ let create ~lanes ~dummy ~init ~work =
     lock = Mutex.create ();
     cond = Condition.create ();
     w_state = Array.make (lanes - 1) W_idle;
-    ctx = None;
     handles = [||];
   }
 
 let count t = Array.length t.lanes
 let state t i = t.lanes.(i).st
 let iter f t = Array.iter (fun l -> f l.st) t.lanes
-let fold f acc t = Array.fold_left (fun acc l -> f acc l.st) acc t.lanes
 
 (* Determinism is load-bearing: it keeps per-neighbor state single-writer
    and differential runs reproducible. Quality only needs to spread
@@ -79,11 +75,11 @@ let spawned t = Array.length t.handles
    afterwards even when [work] raised: the rest of it is dropped, so a
    later run sees only its own items. [W_done] is a constant, so a run
    that raises nothing allocates nothing here. *)
-let drain_lane t ctx l =
+let drain_lane t l =
   let outcome =
     match
       for i = 0 to l.len - 1 do
-        t.work ctx l.st l.q.(i)
+        t.work l.st l.q.(i)
       done
     with
     | () -> W_done
@@ -104,34 +100,33 @@ let worker_loop t i =
   let l = t.lanes.(i + 1) in
   Mutex.lock t.lock;
   let rec loop () =
-    match (t.w_state.(i), t.ctx) with
-    | W_quit, _ -> Mutex.unlock t.lock
-    | W_work, Some ctx ->
+    match t.w_state.(i) with
+    | W_quit -> Mutex.unlock t.lock
+    | W_work ->
         Mutex.unlock t.lock;
-        let outcome = drain_lane t ctx l in
+        let outcome = drain_lane t l in
         Mutex.lock t.lock;
         t.w_state.(i) <- outcome;
         Condition.broadcast t.cond;
         loop ()
-    | (W_idle | W_done | W_failed _ | W_work), _ ->
+    | W_idle | W_done | W_failed _ ->
         Condition.wait t.cond t.lock;
         loop ()
   in
   loop ()
 
-let run t ctx =
+let run t =
   let workers = Array.length t.w_state in
-  if workers = 0 then reraise (drain_lane t ctx t.lanes.(0))
+  if workers = 0 then reraise (drain_lane t t.lanes.(0))
   else begin
     if Array.length t.handles = 0 then
       t.handles <-
         Array.init workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
     Mutex.lock t.lock;
-    t.ctx <- Some ctx;
     Array.fill t.w_state 0 workers W_work;
     Condition.broadcast t.cond;
     Mutex.unlock t.lock;
-    let lane0 = drain_lane t ctx t.lanes.(0) in
+    let lane0 = drain_lane t t.lanes.(0) in
     Mutex.lock t.lock;
     (* Wait for every worker, keeping the lowest lane's failure. *)
     let rec wait i outcome =
@@ -146,8 +141,6 @@ let run t ctx =
     in
     let outcome = wait 0 lane0 in
     Array.fill t.w_state 0 workers W_idle;
-    (* Drop the context: it may capture router state. *)
-    t.ctx <- None;
     Mutex.unlock t.lock;
     (* Every lane has finished and every queue is empty: only now hand
        the exception to the caller. *)

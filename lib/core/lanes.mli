@@ -1,10 +1,10 @@
-(** Worker lanes: the one parked-domain protocol behind the router's
-    two parallel paths ({!Ingest_pool}, {!Export_pool}).
+(** Worker lanes: the parked-domain protocol behind the router's export
+    lane ({!Export_pool}).
 
     A pool has [n] lanes. Each lane owns a state of type ['s] and a FIFO
     queue of items of type ['i]; the coordinator {!push}es items between
-    runs and {!run} hands every lane's queue to a fixed [work] function
-    together with a per-run context of type ['c]. Lane 0 always runs on
+    runs and {!run} hands every lane's queue to a fixed [work] function.
+    Lane 0 always runs on
     the caller. Lanes [1 .. n-1] run on persistent worker domains,
     spawned at the first multi-lane run and parked on a condition
     between runs (a spawn/join costs milliseconds, a wake microseconds).
@@ -19,35 +19,33 @@
     A one-lane pool never spawns a domain: {!run} calls [work] inline,
     with no lock taken and nothing allocated. *)
 
-type ('s, 'i, 'c) t
+type ('s, 'i) t
 
 val create :
   lanes:int ->
   dummy:'i ->
   init:(int -> 's) ->
-  work:('c -> 's -> 'i -> unit) ->
-  ('s, 'i, 'c) t
+  work:('s -> 'i -> unit) ->
+  ('s, 'i) t
 (** [lanes] lanes (raises [Invalid_argument] below 1), lane [i] owning
-    [init i]. [work ctx state item] processes one queued item on its
+    [init i]. [work state item] processes one queued item on its
     lane. [dummy] fills drained queue slots, so a queue never keeps a
     processed item alive. *)
 
 val count : _ t -> int
 
-val state : ('s, _, _) t -> int -> 's
+val state : ('s, _) t -> int -> 's
 (** Lane [i]'s state. Touch it from the coordinator only between runs. *)
 
-val iter : ('s -> unit) -> ('s, _, _) t -> unit
+val iter : ('s -> unit) -> ('s, _) t -> unit
 (** Every lane's state, in lane order (coordinator, between runs). *)
-
-val fold : ('a -> 's -> 'a) -> 'a -> ('s, _, _) t -> 'a
 
 val of_neighbor : lanes:int -> int -> int
 (** The home lane of a neighbor id: a fixed multiply-xor mix, so a
-    neighbor's ingest and export state is single-writer for the life of
+    neighbor's export state is single-writer for the life of
     the router. Always 0 with one lane. *)
 
-val push : ('s, 'i, _) t -> int -> 'i -> unit
+val push : (_, 'i) t -> int -> 'i -> unit
 (** Queue an item on lane [i] (coordinator, between runs). Queues grow
     by doubling. *)
 
@@ -56,8 +54,8 @@ val depth_max : _ t -> int array
     the coordinator's lane). A skewed hash shows up as one lane's mark
     far above the others'. *)
 
-val run : ('s, 'i, 'c) t -> 'c -> unit
-(** Process every queued item: each lane runs [work ctx] over its own
+val run : _ t -> unit
+(** Process every queued item: each lane runs [work] over its own
     queue in FIFO order, then empties it. Returns once every lane is
     done. If [work] raises on a lane, that lane drops the rest of its
     queue, the other lanes still finish theirs, and [run] re-raises the

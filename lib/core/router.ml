@@ -44,6 +44,7 @@ type counters = Router_state.counters = {
   mutable nlri_to_mesh : int;
   mutable flow_hits : int;
   mutable flow_misses : int;
+  mutable decode_errors : int;
 }
 
 type t = Router_state.t
@@ -86,23 +87,11 @@ let process_experiment_update = Control_out.process_experiment_update
 let process_mesh_update = Control_out.process_mesh_update
 let flush_reexports = Control_out.flush_reexports
 
-(* -- parallel ingest lane ---------------------------------------------------- *)
-
-type ingest_payload = Ingest_pool.payload =
+type ingest_payload = Control_in.payload =
   | Wire of string
   | Update of Msg.update
 
 let ingest_updates = Control_in.ingest_updates
-
-type ingest_stats = Ingest_pool.stats = {
-  front_hits : int;
-  front_misses : int;
-  decode_errors : int;
-  staging_residual : int;
-  queue_depth_max : int array;
-}
-
-let ingest_stats t = Ingest_pool.stats t.Router_state.ingest_pool
 
 (* -- parallel export lane ----------------------------------------------------- *)
 
@@ -128,9 +117,7 @@ let forward_experiment_frame = Data_plane.forward_experiment_frame
 
 let lanes t = t.Router_state.lanes
 
-let shutdown_domains t =
-  Ingest_pool.shutdown t.Router_state.ingest_pool;
-  Export_pool.shutdown t.Router_state.export_pool
+let shutdown_domains t = Export_pool.shutdown t.Router_state.export_pool
 
 (* -- wiring ----------------------------------------------------------------- *)
 

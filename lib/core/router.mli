@@ -64,6 +64,8 @@ type counters = Router_state.counters = {
       (** forwarded frames served by a memoized flow-cache decision *)
   mutable flow_misses : int;
       (** forwarded frames resolved through the slow path *)
+  mutable decode_errors : int;
+      (** undecodable wire items handed to {!ingest_updates} *)
 }
 
 type t = Router_state.t
@@ -98,17 +100,14 @@ val create :
     dirty-queue flush that emits packed multi-NLRI UPDATEs; disabling it
     restores the eager per-prefix export path (again, the reference the
     differential tests compare against). [lanes] (default 1) is the
-    worker-lane count of the two parallel control-plane paths, each a
-    {!Lanes} pool: the batch ingest entry point ({!ingest_updates})
-    partitions updates by neighbor, each lane owning its neighbors' wire
-    decode, attribute intern and Adj-RIB-In writes ({!Ingest_pool}); and
-    the dirty-prefix flush toward neighbors ({!flush_reexports})
-    partitions neighbors, each lane owning their export filtering,
-    Adj-RIB-Out deltas, packing and wire encoding ({!Export_pool}). The
-    single writer replays every lane's staged effects, so 1 lane and
-    [n] lanes are bit-identical (byte-identical on the wire); 1 runs
-    everything inline and never spawns a domain. More than 1 requires
-    [ingest_batching]. The data plane has one path whatever [lanes] is.
+    worker-lane count of the export lane, a {!Lanes} pool: the
+    dirty-prefix flush toward neighbors ({!flush_reexports}) computes
+    every Adj-RIB-Out delta on the caller and packs and encodes each
+    distinct delta list on one lane ({!Export_pool}). The caller replays
+    the lanes' encoded messages, so 1 lane and [n] lanes are
+    byte-identical on the wire; 1 runs everything inline and never
+    spawns a domain. Ingest and the data plane have one path whatever
+    [lanes] is.
     [seed] drives the router's deterministic RNG (reconnect jitter);
     [gr_restart_time] is the graceful-restart window it advertises
     (RFC 4724) — 0 disables graceful restart. *)
@@ -197,39 +196,18 @@ val process_experiment_update :
 
 val process_mesh_update : t -> pop:string -> Msg.update -> unit
 
-(** An item for {!ingest_updates}: raw wire bytes (decoded on the ingest
-    workers — the dominant ingest cost) or an already-decoded update.
-    Non-UPDATE messages are ignored; undecodable bytes count as decode
-    errors in {!ingest_stats}. *)
-type ingest_payload = Ingest_pool.payload =
+(** An item for {!ingest_updates}: raw wire bytes (decoded by the
+    ingest step) or an already-decoded update. Non-UPDATE messages are
+    ignored; undecodable bytes count in [decode_errors] of {!counters}. *)
+type ingest_payload = Control_in.payload =
   | Wire of string
   | Update of Msg.update
 
 val ingest_updates : t -> (int * ingest_payload) array -> unit
 (** Ingest a batch of (neighbor id, update) items through the full
-    pipeline. On a [?lanes:n] router with [n > 1] the batch is
-    hash-partitioned by neighbor id across the ingest lanes
-    (each owning decode, intern, and the neighbor's Adj-RIB-In) and the
-    staged route deltas are reconciled into the FIB and the per-tick
-    dirty queue on the single writer before the call returns; otherwise
-    items are processed inline in batch order. Both paths produce
-    bit-identical state and counters — the par-ingest differential suite
-    pins this. Raises [Invalid_argument] on an unknown neighbor id. *)
-
-type ingest_stats = Ingest_pool.stats = {
-  front_hits : int;  (** per-lane intern front-cache hits, summed *)
-  front_misses : int;
-  decode_errors : int;  (** cumulative undecodable wire items *)
-  staging_residual : int;
-      (** staged deltas not yet reconciled — always 0 after
-          {!ingest_updates} returns (gated in the ingest-par bench) *)
-  queue_depth_max : int array;
-      (** per-lane input-queue high-water mark (index 0 = coordinator) *)
-}
-
-val ingest_stats : t -> ingest_stats
-(** Live on every router; with one lane only [decode_errors] moves (the
-    sequential path decodes on the coordinator's lane). *)
+    pipeline ({!process_neighbor_update}), in batch order. Raises
+    [Invalid_argument] on an unknown neighbor id; the items before it
+    have been ingested. *)
 
 type export_stats = Export_pool.stats = {
   wire_cache_hits : int;
@@ -272,15 +250,14 @@ val forward_experiment_frame : t -> neighbor_id:int -> Eth.t -> unit
     invoked via the LAN station). *)
 
 val lanes : t -> int
-(** The router's lane count (1 = the sequential paths). *)
+(** The router's export-lane count (1 = the sequential flush). *)
 
 val shutdown_domains : t -> unit
-(** Join the router's parked worker domains — the ingest lane's and the
-    export lane's (each live domain counts against the OCaml runtime's
-    domain limit, so tests and benchmarks churning many [?lanes] routers
-    should release them). Idempotent, a no-op on 1-lane routers, and
-    transparent: the next parallel batch respawns workers with all
-    router state intact. *)
+(** Join the export lane's parked worker domains (each live domain
+    counts against the OCaml runtime's domain limit, so tests and
+    benchmarks churning many [?lanes] routers should release them).
+    Idempotent, a no-op on 1-lane routers, and transparent: the next
+    multi-lane flush respawns workers with all router state intact. *)
 
 (** {1 Wiring} *)
 

@@ -148,6 +148,8 @@ type counters = {
   mutable flow_misses : int;
       (** forwarded frames resolved through the slow path (cache cold,
           stamped out, or the flow is uncacheable) *)
+  mutable decode_errors : int;
+      (** undecodable wire items handed to [Control_in.ingest_updates] *)
 }
 
 type t = {
@@ -213,11 +215,8 @@ type t = {
           (off forces every frame through the slow path — the reference
           behavior differential tests compare against) *)
   lanes : int;
-      (** worker lanes of the ingest lane and the export lane ({!Lanes});
-          1 = the sequential paths (the default) *)
-  ingest_pool : Ingest_pool.t;
-      (** always present: with one lane it only counts the sequential
-          path's decode errors *)
+      (** worker lanes of the export lane ({!Lanes}); 1 = the sequential
+          flush (the default) *)
   export_pool : Export_pool.t;
       (** always present: it holds the Adj-RIB-Out (one group table plus
           per-neighbor overrides), and the single-lane pool is the
@@ -238,9 +237,6 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     ?control ?data ?(flow_cache = true) ?(ingest_batching = true)
     ?(lanes = 1) ?(seed = 42) ?(gr_restart_time = 120) () =
   if lanes < 1 then invalid_arg "Router.create: lanes must be >= 1";
-  if lanes > 1 && not ingest_batching then
-    invalid_arg
-      "Router.create: the parallel ingest lane requires batched ingest";
   let control =
     match control with
     | Some c -> c
@@ -305,12 +301,12 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
         nlri_to_mesh = 0;
         flow_hits = 0;
         flow_misses = 0;
+        decode_errors = 0;
       };
     rng = Random.State.make [| seed; Hashtbl.hash name |];
     gr_restart_time;
     flow_cache_enabled = flow_cache;
     lanes;
-    ingest_pool = Ingest_pool.create ~lanes ();
     export_pool = Export_pool.create ~lanes ();
   }
 
@@ -358,19 +354,15 @@ let owner_remove t prefix =
     Dcache.invalidate t.owner_cache
   end
 
+let owner_of_trie trie ip =
+  match Ptrie.lookup_v4 ip trie with
+  | Some (_, owner) -> Some owner
+  | None -> None
+
 (* Longest-prefix match of the owner of [ip], through the cache — the
    per-packet operation of [Data_plane.deliver_inbound]. *)
 let owner_lookup t ip =
-  match Dcache.find t.owner_cache ip with
-  | Some cached -> cached
-  | None ->
-      let result =
-        match Ptrie.lookup_v4 ip t.owner_trie with
-        | Some (_, owner) -> Some owner
-        | None -> None
-      in
-      Dcache.store t.owner_cache ip result;
-      result
+  Dcache.lookup t.owner_cache ip owner_of_trie t.owner_trie
 
 let neighbor t id = Hashtbl.find_opt t.neighbors id
 

@@ -129,6 +129,8 @@ type counters = {
       (** forwarded frames served by a memoized flow-cache decision *)
   mutable flow_misses : int;
       (** forwarded frames resolved through the slow path *)
+  mutable decode_errors : int;
+      (** undecodable wire items handed to [Control_in.ingest_updates] *)
 }
 
 type t = {
@@ -182,11 +184,8 @@ type t = {
   flow_cache_enabled : bool;
       (** serve forwarding decisions from the per-neighbor flow caches *)
   lanes : int;
-      (** worker lanes of the ingest lane and the export lane ({!Lanes});
-          1 = the sequential paths (the default) *)
-  ingest_pool : Ingest_pool.t;
-      (** always present: with one lane it only counts the sequential
-          path's decode errors *)
+      (** worker lanes of the export lane ({!Lanes}); 1 = the sequential
+          flush (the default) *)
   export_pool : Export_pool.t;
       (** the export lane pool — always present: it holds the
           Adj-RIB-Out (one group table plus per-neighbor overrides), and
@@ -220,9 +219,7 @@ val create :
   ?gr_restart_time:int ->
   unit ->
   t
-(** [lanes] (>= 1) sizes both lane pools; more than one requires
-    [ingest_batching] (the ingest lane feeds the per-tick dirty queue;
-    there is no parallel eager path). *)
+(** [lanes] (>= 1) sizes the export lane pool. *)
 
 val name : t -> string
 val asn : t -> Asn.t

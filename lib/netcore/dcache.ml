@@ -41,16 +41,14 @@ let invalidate t = t.generation <- t.generation + 1
 let index t bits =
   (bits lxor (bits lsr 8) lxor (bits lsr 16) lxor (bits lsr 24)) land t.mask
 
-(* [Some result] on a hit ([result] itself is the cached lookup outcome,
-   possibly [None]); [None] on a miss. *)
-let find t addr =
+let lookup t addr slow src =
   let bits = Ipv4.to_bits addr in
   let s = t.slots.(index t bits) in
-  if s.gen = t.generation && s.addr = bits then Some s.value else None
-
-let store t addr value =
-  let bits = Ipv4.to_bits addr in
-  let s = t.slots.(index t bits) in
-  s.gen <- t.generation;
-  s.addr <- bits;
-  s.value <- value
+  if s.gen = t.generation && s.addr = bits then s.value
+  else begin
+    let value = slow src addr in
+    s.gen <- t.generation;
+    s.addr <- bits;
+    s.value <- value;
+    value
+  end

@@ -11,14 +11,13 @@ type 'a t
 val create : ?slots:int -> unit -> 'a t
 (** [slots] (default 256) is rounded up to a power of two. *)
 
-val find : 'a t -> Ipv4.t -> 'a option option
-(** [Some result] when the cache holds a current-generation entry for the
-    address — [result] is the cached lookup outcome, possibly [None]
-    (negative results are cached). [None] means miss: consult the trie and
-    {!store} the outcome. *)
-
-val store : 'a t -> Ipv4.t -> 'a option -> unit
-(** Record a lookup outcome under the current generation. *)
+val lookup : 'a t -> Ipv4.t -> ('b -> Ipv4.t -> 'a option) -> 'b -> 'a option
+(** [lookup t addr slow src] is the lookup outcome for [addr], possibly
+    [None] (negative results are cached). A current-generation entry is
+    returned as stored, allocating nothing; on a miss [slow src addr]
+    computes the outcome, which is stored under the current generation.
+    Pass a closed function as [slow] and its input as [src], so a hit
+    builds no closure either. *)
 
 val invalidate : 'a t -> unit
 (** Bump the generation, making every cached entry stale. Call on any

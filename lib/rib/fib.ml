@@ -60,17 +60,10 @@ let remove t prefix =
     Dcache.invalidate t.cache
   end
 
-let lookup t addr =
-  match Dcache.find t.cache addr with
-  | Some cached -> cached
-  | None ->
-      let result =
-        match Ptrie.lookup_v4 addr t.trie with
-        | Some (_, e) -> Some e
-        | None -> None
-      in
-      Dcache.store t.cache addr result;
-      result
+let trie_lookup trie addr =
+  match Ptrie.lookup_v4 addr trie with Some (_, e) -> Some e | None -> None
+
+let lookup t addr = Dcache.lookup t.cache addr trie_lookup t.trie
 
 (* The destination cache's generation doubles as the table's mutation
    stamp: every insert/remove/clear that changes a binding bumps it, so

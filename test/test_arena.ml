@@ -1,5 +1,6 @@
 (* Tests for the hash-consing attribute arena: physical uniqueness,
-   GC-backed reclamation, and the differential property that interned and
+   GC-backed reclamation, exact lock counts, an intern storm from four
+   domains, and the differential property that interned and
    plain attribute sets are observationally identical (accessors, codec
    round-trip, decision ordering). *)
 
@@ -84,9 +85,9 @@ let test_arena_survives_gc () =
   let again = Attr_arena.intern ~arena (attrs ()) in
   checkb "retained handle survives GC" true (Attr_arena.equal keep again)
 
-(* -- striped locks and the per-domain front cache ---------------------------- *)
+(* -- lock counters ------------------------------------------------------------ *)
 
-let test_striped_counters () =
+let test_lock_counters () =
   let arena = Attr_arena.create () in
   (* Retain the handles so weak reclamation can't perturb the counts. *)
   let keep =
@@ -95,7 +96,7 @@ let test_striped_counters () =
   in
   ignore (Sys.opaque_identity keep);
   let st = Attr_arena.stats ~arena () in
-  checki "every intern takes exactly one stripe lock" 100 st.Attr_arena.locks;
+  checki "every intern takes exactly one lock" 100 st.Attr_arena.locks;
   checki "sequential interning never contends" 0 st.Attr_arena.contended;
   checki "hits + misses = interns" 100
     (st.Attr_arena.hits + st.Attr_arena.misses);
@@ -116,35 +117,6 @@ let test_striped_counters () =
   checki "feed: every other intern hits" 18_976 st.Attr_arena.hits;
   checki "feed: one lock per intern" feed_routes st.Attr_arena.locks;
   checki "feed: no lock contended" 0 st.Attr_arena.contended
-
-let test_front_cache () =
-  let arena = Attr_arena.create () in
-  let front = Attr_arena.Front.create ~arena () in
-  let a = Attr_arena.Front.intern front (attrs ()) in
-  let b = Attr_arena.Front.intern front (attrs ()) in
-  checkb "front returns the canonical handle" true (a == b);
-  checki "second intern hits the front cache" 1 (Attr_arena.Front.hits front);
-  checki "first intern missed through to the arena" 1
-    (Attr_arena.Front.misses front);
-  (* A front hit must not touch the arena stripes at all. *)
-  let st = Attr_arena.stats ~arena () in
-  checki "arena saw exactly one intern" 1 st.Attr_arena.locks;
-  let c = Attr_arena.intern ~arena (attrs ()) in
-  checkb "front and direct intern agree on the handle" true
-    (Attr_arena.equal a c);
-  (* The 20k-route feed through a fresh front cache: 75.085% of interns
-     never reach the arena's stripes. *)
-  let arena = Attr_arena.create () in
-  let front = Attr_arena.Front.create ~arena () in
-  let keep =
-    Array.init feed_routes (fun i ->
-        Attr_arena.Front.intern front (synth_attrs ~distinct:feed_distinct i))
-  in
-  ignore (Sys.opaque_identity keep);
-  checki "feed: front hits" 15_017 (Attr_arena.Front.hits front);
-  checki "feed: front misses" 4_983 (Attr_arena.Front.misses front);
-  checki "feed: only misses reach the stripes" 4_983
-    (Attr_arena.stats ~arena ()).Attr_arena.locks
 
 (* The feed stored in a RIB (8 peers, distinct /24s): with every route
    holding its own attribute set the table costs 517 B/route; folded onto
@@ -175,6 +147,45 @@ let test_sharing_shrinks_table () =
     (table (synth_attrs ?distinct:None));
   checki "words, attrs shared via the arena" 533_468
     (table (synth_attrs ~distinct:feed_distinct))
+
+(* -- the arena across domains ---------------------------------------------- *)
+
+(* The i-th of [distinct] overlapping attribute sets (path, next hop and
+   MED vary with i). *)
+let stress_attrs ~distinct i =
+  let i = i mod distinct in
+  Attr.origin_attrs
+    ~as_path:
+      (Aspath.of_asns
+         [ Asn.of_int (1000 + i); Asn.of_int (2000 + (i * 7 mod 97)) ])
+    ~next_hop:(Ipv4.of_int32 (Int32.of_int (0x0a000000 lor i)))
+    ()
+  |> Attr.with_med (i mod 50)
+
+let test_arena_domain_stress () =
+  let arena = Attr_arena.create () in
+  let distinct = 64 and per_domain = 2_000 in
+  let storm () =
+    Array.init per_domain (fun i ->
+        Attr_arena.intern ~arena (stress_attrs ~distinct i))
+  in
+  let spawned = Array.init 3 (fun _ -> Domain.spawn storm) in
+  let own = storm () in
+  let others = Array.map Domain.join spawned in
+  (* Every domain resolved set [i] to the same canonical handle. *)
+  Array.iter
+    (fun handles ->
+      Array.iteri
+        (fun i h ->
+          checkb "same canonical handle across domains" true
+            (Attr_arena.equal h handles.(i)))
+        own)
+    others;
+  let s = Attr_arena.stats ~arena () in
+  checki "one allocation per distinct set" distinct s.Attr_arena.misses;
+  checki "everything else hit"
+    ((4 * per_domain) - distinct)
+    s.Attr_arena.hits
 
 (* -- differential: interned vs plain ---------------------------------------- *)
 
@@ -247,10 +258,9 @@ let () =
             test_intern_canonicalizes_order;
           Alcotest.test_case "weak arena survives gc" `Quick
             test_arena_survives_gc;
-          Alcotest.test_case "stripe lock counters" `Quick
-            test_striped_counters;
-          Alcotest.test_case "front cache fronts the stripes" `Quick
-            test_front_cache;
+          Alcotest.test_case "lock counters" `Quick test_lock_counters;
+          Alcotest.test_case "4-domain intern storm converges" `Quick
+            test_arena_domain_stress;
           Alcotest.test_case "sharing shrinks a 20k-route table" `Quick
             test_sharing_shrinks_table;
         ] );

@@ -5,7 +5,8 @@
    its lowest-id neighbor; a router created with [?lanes:4] must be
    byte-identical to the sequential one. A QCheck property drives the
    same random announce/withdraw/flap/EoR sequence from an experiment
-   through two identically-wired routers (4 lanes vs 1) and compares
+   through two identically-wired routers (4 lanes vs 1, both with
+   batched or both with eager ingest) and compares
    Adj-RIB-Out fingerprints, exact counters, per-neighbor heard state,
    and per-neighbor wire-byte transcripts (every byte each neighbor's
    link delivered), with and without graceful restart in play; it also
@@ -63,7 +64,8 @@ type fixture = {
   announces : int ref;
 }
 
-let make_fixture ?(gr_restart_time = 0) ?(n = n_neighbors) ~lanes () =
+let make_fixture ?(gr_restart_time = 0) ?(ingest_batching = true)
+    ?(n = n_neighbors) ~lanes () =
   let engine = Sim.Engine.create () in
   let global_pool =
     Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
@@ -71,7 +73,7 @@ let make_fixture ?(gr_restart_time = 0) ?(n = n_neighbors) ~lanes () =
   let router =
     Router.create ~engine ~name:"par-export" ~asn:(asn 47065)
       ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
-      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ~lanes ~ingest_batching
       ~gr_restart_time ()
   in
   Router.activate router;
@@ -336,18 +338,23 @@ let ops_arb =
 (* Run one ops sequence to convergence; returns the fingerprint, the
    staged-send residual (which must be zero once the flush has run), the
    per-neighbor wire digests and the single-run view mismatches. *)
-let run_ops ~lanes ~gr ops =
-  let fx = make_fixture ~gr_restart_time:gr ~lanes () in
+let run_ops ?ingest_batching ~lanes ~gr ops =
+  let fx = make_fixture ~gr_restart_time:gr ?ingest_batching ~lanes () in
   List.iter (apply fx) ops;
   let fp = fingerprint fx in
   let residual = (Router.export_stats fx.router).Router.staged_residual in
   Router.shutdown_domains fx.router;
   (fp, residual, wire_digests fx, view_mismatches fx)
 
+(* Both runs share the ingest mode: eager ingest is a supported setting
+   at any lane count. *)
 let differential ~name ~gr =
-  QCheck.Test.make ~name ~count:12 ops_arb (fun ops ->
-      let fp_par, residual, _, bad_par = run_ops ~lanes:4 ~gr ops in
-      let fp_seq, _, _, bad_seq = run_ops ~lanes:1 ~gr ops in
+  QCheck.Test.make ~name ~count:12 (QCheck.pair QCheck.bool ops_arb)
+    (fun (ingest_batching, ops) ->
+      let fp_par, residual, _, bad_par =
+        run_ops ~ingest_batching ~lanes:4 ~gr ops
+      in
+      let fp_seq, _, _, bad_seq = run_ops ~ingest_batching ~lanes:1 ~gr ops in
       match bad_par @ bad_seq with
       | [] -> residual = 0 && String.equal fp_par fp_seq
       | bad -> QCheck.Test.fail_report (String.concat "\n" bad))

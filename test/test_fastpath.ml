@@ -277,6 +277,37 @@ let test_invalidate_on_experiment_attach () =
     | [ ("exp001", pkts, _, _) ] -> pkts = 1
     | _ -> false)
 
+(* The owner cache, consulted per inbound packet, returns a hit as
+   stored, positive or negative, allocating nothing. *)
+let test_owner_hit_allocates_nothing () =
+  let fx = make_router () in
+  Router_state.owner_insert fx.router
+    (pfx "184.164.224.0/24")
+    (Router_state.Local_exp "exp001");
+  let owned = ip "184.164.224.9" and foreign = ip "192.168.0.9" in
+  let lookups () =
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (Router_state.owner_lookup fx.router owned));
+      ignore (Sys.opaque_identity (Router_state.owner_lookup fx.router foreign))
+    done
+  in
+  lookups ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let hits = words lookups in
+  checki "0 words per cached hit" 0 (int_of_float (hits -. empty));
+  checkb "the hits return the stored owners" true
+    (match
+       ( Router_state.owner_lookup fx.router owned,
+         Router_state.owner_lookup fx.router foreign )
+     with
+    | Some (Router_state.Local_exp "exp001"), None -> true
+    | _ -> false)
+
 let test_invalidate_on_owner_change () =
   (* Experiment detach surfaces as route withdrawal → [owner_remove];
      both directions of owner-table churn must stamp out cached flows. *)
@@ -782,6 +813,8 @@ let () =
           Alcotest.test_case "tailless hit records equal the slow path's"
             `Quick (hit_records ~tail:false);
           QCheck_alcotest.to_alcotest prop_cached_equals_slow;
+          Alcotest.test_case "an owner-cache hit allocates nothing" `Quick
+            test_owner_hit_allocates_nothing;
           Alcotest.test_case "a hit copies the payload once" `Quick
             test_hit_allocation;
           Alcotest.test_case "key parts never share an entry" `Quick

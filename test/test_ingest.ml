@@ -4,8 +4,9 @@
    drives the same random announce/withdraw/flap sequence through two
    identically-wired routers — one batched, one eager — and compares full
    RIB/FIB/export fingerprints. Alongside it: graceful-restart End-of-RIB
-   mark-and-sweep under batching, same-tick coalescing, and determinism of
-   the staged churn generator. *)
+   mark-and-sweep under batching, same-tick coalescing, the
+   [Router.ingest_updates] batch entry point, and determinism of the
+   staged churn generator. *)
 
 open Netcore
 open Bgp
@@ -341,6 +342,60 @@ let test_batched_coalesces () =
     (Hashtbl.mem fx.heard (op_prefix 0, Some fx.neighbor_ids.(0)));
   checki "transient announce suppressed" 0 (List.length !(fx.announces))
 
+(* -- the batch entry point ------------------------------------------------- *)
+
+let announce_wire ~nbr p =
+  Router.Wire
+    (Codec.encode
+       (Msg.Update
+          (Msg.update ~attrs:(attr_variant ~nbr 0)
+             ~announced:[ Msg.nlri (op_prefix p) ]
+             ())))
+
+(* Undecodable wire items are counted, not dropped silently; the valid
+   UPDATEs around them are still ingested. *)
+let test_decode_errors_counted () =
+  let fx = make_fixture ~ingest_batching:true () in
+  let garbage =
+    [| "\x00\x01"; String.make 19 '\xff'; "not a BGP message at all" |]
+  in
+  let batch =
+    Array.append
+      (Array.mapi
+         (fun i g -> (fx.neighbor_ids.(i mod n_neighbors), Router.Wire g))
+         garbage)
+      [| (fx.neighbor_ids.(1), announce_wire ~nbr:1 0) |]
+  in
+  let c = Router.counters fx.router in
+  let updates0 = c.Router.updates_from_neighbors in
+  Router.ingest_updates fx.router batch;
+  Router.ingest_updates fx.router batch;
+  checki "every garbage item counted" (2 * Array.length garbage)
+    c.Router.decode_errors;
+  checki "the UPDATEs processed" 2 (c.Router.updates_from_neighbors - updates0);
+  checki "the announced route installed" 1
+    (List.length
+       (Router.neighbor_routes fx.router ~neighbor_id:fx.neighbor_ids.(1)))
+
+(* A valid message that is not an UPDATE is neither processed nor counted
+   as a decode error. *)
+let test_non_update_ignored () =
+  let fx = make_fixture ~ingest_batching:true () in
+  let c = Router.counters fx.router in
+  let updates0 = c.Router.updates_from_neighbors in
+  Router.ingest_updates fx.router
+    [| (fx.neighbor_ids.(0), Router.Wire (Codec.encode Msg.Keepalive)) |];
+  checki "no decode error" 0 c.Router.decode_errors;
+  checki "no UPDATE processed" updates0 c.Router.updates_from_neighbors
+
+let test_unknown_neighbor_rejected () =
+  let fx = make_fixture ~ingest_batching:true () in
+  let bogus = 1 + Array.fold_left max 0 fx.neighbor_ids in
+  Alcotest.check_raises "unknown neighbor raises"
+    (Invalid_argument "Router.ingest_updates: unknown neighbor") (fun () ->
+      Router.ingest_updates fx.router
+        [| (bogus, Router.Update (Msg.update ())) |])
+
 (* -- churn generator determinism ------------------------------------------ *)
 
 let small_plan seed =
@@ -402,6 +457,15 @@ let () =
         [
           Alcotest.test_case "same-tick announce+withdraw coalesces" `Quick
             test_batched_coalesces;
+        ] );
+      ( "ingest-updates",
+        [
+          Alcotest.test_case "undecodable wire items are counted" `Quick
+            test_decode_errors_counted;
+          Alcotest.test_case "a non-UPDATE message is ignored" `Quick
+            test_non_update_ignored;
+          Alcotest.test_case "unknown neighbor rejected" `Quick
+            test_unknown_neighbor_rejected;
         ] );
       ( "churn",
         [

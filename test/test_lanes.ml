@@ -1,25 +1,28 @@
-(* Tests for [Lanes], the worker-lane pool under the ingest lane and the
-   export lane: a one-lane pool runs inline and spawns nothing, every
-   lane drains its own queue in FIFO order on its own domain, shutdown is
-   idempotent and a later run respawns, queue high-water marks survive
-   runs, a lane count below one is rejected, and an exception raised by
-   [work] on any lane reaches the caller only after every queue is empty.
-   Also the attribute arena under an intern storm from four domains, the
-   way ingest workers intern. *)
+(* Tests for [Lanes], the worker-lane pool under the export lane: a
+   one-lane pool runs inline and spawns nothing, every lane drains its
+   own queue in FIFO order on its own domain, shutdown is idempotent and
+   a later run respawns, queue high-water marks survive runs, a lane
+   count below one is rejected, and an exception raised by [work] on any
+   lane reaches the caller only after every queue is empty. *)
 
-open Netcore
-open Bgp
 open Vbgp
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* Each lane logs (run tag, item, domain that ran it), newest first. *)
+(* Each lane logs (run tag, item, domain that ran it), newest first; the
+   caller sets the tag before each run. *)
+let tag = ref ""
+
 let make lanes =
   Lanes.create ~lanes ~dummy:(-1)
     ~init:(fun _ -> ref [])
-    ~work:(fun tag log item ->
-      log := (tag, item, (Domain.self () :> int)) :: !log)
+    ~work:(fun log item ->
+      log := (!tag, item, (Domain.self () :> int)) :: !log)
+
+let run_tagged l t =
+  tag := t;
+  Lanes.run l
 
 let self () = (Domain.self () :> int)
 
@@ -28,12 +31,12 @@ let test_one_lane_inline () =
   for i = 1 to 5 do
     Lanes.push l 0 i
   done;
-  Lanes.run l "a";
+  run_tagged l "a";
   checki "no domain spawned" 0 (Lanes.spawned l);
   checkb "items ran on the caller, in FIFO order" true
     (List.rev !(Lanes.state l 0)
     = List.init 5 (fun i -> ("a", i + 1, self ())));
-  Lanes.run l "b";
+  run_tagged l "b";
   checki "a run empties the queue" 5 (List.length !(Lanes.state l 0));
   Lanes.shutdown l;
   checki "shutdown of a one-lane pool is a no-op" 0 (Lanes.spawned l)
@@ -45,7 +48,7 @@ let test_one_lane_allocates_nothing () =
   let l =
     Lanes.create ~lanes:1 ~dummy:0
       ~init:(fun _ -> ref 0)
-      ~work:(fun () sum item -> sum := !sum + item)
+      ~work:(fun sum item -> sum := !sum + item)
   in
   let words f =
     let before = Gc.minor_words () in
@@ -53,10 +56,10 @@ let test_one_lane_allocates_nothing () =
     Gc.minor_words () -. before
   in
   Lanes.push l 0 1;
-  Lanes.run l ();
+  Lanes.run l;
   Lanes.push l 0 2;
   let empty = words (fun () -> ()) in
-  let run = words (fun () -> Lanes.run l ()) in
+  let run = words (fun () -> Lanes.run l) in
   checki "the item ran" 3 !(Lanes.state l 0);
   checki "no words allocated" 0 (int_of_float (run -. empty))
 
@@ -90,7 +93,7 @@ let check_run l ~tag =
 let test_shutdown_respawn () =
   let l = make 3 in
   fill l;
-  Lanes.run l "first";
+  run_tagged l "first";
   checki "two workers spawned" 2 (Lanes.spawned l);
   check_run l ~tag:"first";
   Lanes.shutdown l;
@@ -98,7 +101,7 @@ let test_shutdown_respawn () =
   Lanes.shutdown l;
   checki "a second shutdown is a no-op" 0 (Lanes.spawned l);
   fill l;
-  Lanes.run l "second";
+  run_tagged l "second";
   checki "a later run respawns" 2 (Lanes.spawned l);
   check_run l ~tag:"second";
   Lanes.shutdown l
@@ -108,14 +111,14 @@ let test_depth_max () =
   for i = 1 to 100 do
     Lanes.push l 1 i
   done;
-  Lanes.run l ();
+  Lanes.run l;
   checki "lane 1 kept all 100 items past the initial capacity" 100
     (List.length !(Lanes.state l 1));
   for i = 1 to 3 do
     Lanes.push l 0 i
   done;
   Lanes.push l 1 0;
-  Lanes.run l ();
+  Lanes.run l;
   checki "each item ran once" 104
     (List.length !(Lanes.state l 0) + List.length !(Lanes.state l 1));
   Alcotest.(check (array int))
@@ -136,15 +139,15 @@ let test_work_raises ~failing () =
   let l =
     Lanes.create ~lanes:2 ~dummy:(-1)
       ~init:(fun _ -> ref [])
-      ~work:(fun tag log item ->
+      ~work:(fun log item ->
         if item = 13 then raise Boom;
-        log := (tag, item) :: !log)
+        log := (!tag, item) :: !log)
   in
   let other = 1 - failing in
   List.iter (Lanes.push l failing) [ 11; 13; 15 ];
   List.iter (Lanes.push l other) [ 21; 22 ];
   Alcotest.check_raises "run re-raises the lane's exception" Boom (fun () ->
-      Lanes.run l "bad");
+      run_tagged l "bad");
   let ran lane tag =
     List.rev
       (List.filter_map
@@ -157,52 +160,13 @@ let test_work_raises ~failing () =
     "the other lane finished its queue" [ 21; 22 ] (ran other "bad");
   Lanes.push l failing 1;
   Lanes.push l other 2;
-  Lanes.run l "next";
+  run_tagged l "next";
   Alcotest.(check (list int))
     "next run: only its own item on the failing lane" [ 1 ]
     (ran failing "next");
   Alcotest.(check (list int))
     "next run: only its own item on the other lane" [ 2 ] (ran other "next");
   Lanes.shutdown l
-
-(* -- attribute arena across domains ------------------------------------------------ *)
-
-(* The i-th of [distinct] overlapping attribute sets (path, next hop and
-   MED vary with i). *)
-let stress_attrs ~distinct i =
-  let i = i mod distinct in
-  Attr.origin_attrs
-    ~as_path:
-      (Aspath.of_asns
-         [ Asn.of_int (1000 + i); Asn.of_int (2000 + (i * 7 mod 97)) ])
-    ~next_hop:(Ipv4.of_int32 (Int32.of_int (0x0a000000 lor i)))
-    ()
-  |> Attr.with_med (i mod 50)
-
-let test_arena_domain_stress () =
-  let arena = Attr_arena.create () in
-  let distinct = 64 and per_domain = 2_000 in
-  let storm () =
-    Array.init per_domain (fun i ->
-        Attr_arena.intern ~arena (stress_attrs ~distinct i))
-  in
-  let spawned = Array.init 3 (fun _ -> Domain.spawn storm) in
-  let own = storm () in
-  let others = Array.map Domain.join spawned in
-  (* Every domain resolved set [i] to the same canonical handle. *)
-  Array.iter
-    (fun handles ->
-      Array.iteri
-        (fun i h ->
-          checkb "same canonical handle across domains" true
-            (Attr_arena.equal h handles.(i)))
-        own)
-    others;
-  let s = Attr_arena.stats ~arena () in
-  checki "one allocation per distinct set" distinct s.Attr_arena.misses;
-  checki "everything else hit"
-    ((4 * per_domain) - distinct)
-    s.Attr_arena.hits
 
 let () =
   Alcotest.run "lanes"
@@ -225,10 +189,5 @@ let () =
           Alcotest.test_case "work raising on lane 1 reaches the caller"
             `Quick
             (test_work_raises ~failing:1);
-        ] );
-      ( "arena",
-        [
-          Alcotest.test_case "4-domain intern storm converges" `Quick
-            test_arena_domain_stress;
         ] );
     ]

@@ -311,12 +311,12 @@ let test_dcache_spreads_last_octet () =
     (fun (what, host) ->
       let c = Dcache.create ~slots:256 () in
       for i = 0 to 255 do
-        Dcache.store c (host i) (Some i)
+        ignore (Dcache.lookup c (host i) (fun i _ -> Some i) i)
       done;
       let hits = ref 0 in
       for i = 0 to 255 do
-        match Dcache.find c (host i) with
-        | Some (Some j) when j = i -> incr hits
+        match Dcache.lookup c (host i) (fun () _ -> None) () with
+        | Some j when j = i -> incr hits
         | _ -> ()
       done;
       checki what 256 !hits)

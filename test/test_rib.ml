@@ -267,6 +267,34 @@ let test_fib_cache_invalidation () =
   Rib.Fib.clear f;
   checki "clear invalidates" (-1) (neighbor_at "10.1.2.3")
 
+(* A destination-cache hit returns the stored outcome, positive or
+   negative, and allocates nothing. The two addresses sit in different
+   cache slots; the empty interval calibrates the measurement itself. *)
+let test_fib_hit_allocates_nothing () =
+  let f = Rib.Fib.create () in
+  Rib.Fib.insert f (pfx "10.0.0.0/8")
+    { Rib.Fib.next_hop = ip "1.1.1.1"; neighbor = 1 };
+  let routed = ip "10.1.2.3" and unrouted = ip "11.0.0.2" in
+  let lookups () =
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (Rib.Fib.lookup f routed));
+      ignore (Sys.opaque_identity (Rib.Fib.lookup f unrouted))
+    done
+  in
+  lookups ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let hits = words lookups in
+  checki "0 words per cached hit" 0 (int_of_float (hits -. empty));
+  checkb "the hits return the stored outcomes" true
+    (match (Rib.Fib.lookup f routed, Rib.Fib.lookup f unrouted) with
+    | Some e, None -> e.Rib.Fib.neighbor = 1
+    | _ -> false)
+
 (* A write that changes no binding is a no-op: re-inserting an equal
    entry (a fresh record, same next hop and neighbor — what every
    attribute-only re-announcement writes) keeps the count and the
@@ -381,6 +409,8 @@ let () =
             test_fib_cache_invalidation;
           Alcotest.test_case "equal insert is a no-op" `Quick
             test_fib_equal_insert_noop;
+          Alcotest.test_case "a cached hit allocates nothing" `Quick
+            test_fib_hit_allocates_nothing;
         ] );
       ("properties", qcheck_cases);
     ]
