@@ -116,17 +116,7 @@ let attach_backbone t lan =
    message per route — at full-table scale the difference is tens of
    thousands of messages per sync. *)
 let sync_mesh_session t session =
-  let send u =
-    List.iter
-      (fun (piece : Msg.update) ->
-        t.counters.updates_to_mesh <- t.counters.updates_to_mesh + 1;
-        t.counters.nlri_to_mesh <-
-          t.counters.nlri_to_mesh
-          + List.length piece.Msg.announced
-          + List.length piece.Msg.withdrawn;
-        Session.send_update session piece)
-      (Codec.split_update ~params:{ Codec.add_path = true; as4 = true } u)
-  in
+  let send = send_update_to_mesh t [ session ] in
   List.iter
     (fun ns ->
       match ns.info.Neighbor.global_ip with

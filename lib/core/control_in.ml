@@ -25,13 +25,13 @@ let export_route_to_experiments t (ns : neighbor_state) prefix attrs =
       ~announced:[ Msg.nlri ~path_id:ns.info.Neighbor.id prefix ]
       ()
   in
-  Hashtbl.iter (fun _ e -> send_update_to_experiment t e update) t.experiments
+  send_update_to_experiments t (experiment_sessions t) update
 
 let export_withdraw_to_experiments t (ns : neighbor_state) prefix =
   let update =
     Msg.update ~withdrawn:[ Msg.nlri ~path_id:ns.info.Neighbor.id prefix ] ()
   in
-  Hashtbl.iter (fun _ e -> send_update_to_experiment t e update) t.experiments
+  send_update_to_experiments t (experiment_sessions t) update
 
 (* Neighbor-learned routes go to the mesh with the neighbor's *global* IP
    as next hop, so remote PoPs can alias it (§4.4). *)
@@ -40,14 +40,14 @@ let export_route_to_mesh t (ns : neighbor_state) prefix attrs =
   | None -> ()
   | Some g ->
       let attrs = Attr.with_next_hop g attrs in
-      send_update_to_mesh t
+      send_update_to_mesh t (mesh_sessions t)
         (Msg.update ~attrs
            ~announced:[ Msg.nlri ~path_id:ns.info.Neighbor.id prefix ]
            ())
 
 let export_withdraw_to_mesh t (ns : neighbor_state) prefix =
   if ns.info.Neighbor.global_ip <> None then
-    send_update_to_mesh t
+    send_update_to_mesh t (mesh_sessions t)
       (Msg.update ~withdrawn:[ Msg.nlri ~path_id:ns.info.Neighbor.id prefix ] ())
 
 (* -- batched ingest: the dirty-(neighbor, prefix) queue --------------------- *)
@@ -86,25 +86,26 @@ let flush_ingest_neighbor t (ns : neighbor_state) prefixes =
             (Msg.nlri ~path_id:nid prefix))
     prefixes;
   let withdrawn = List.rev !withdrawn in
-  (if withdrawn <> [] then
-     let u = Msg.update ~withdrawn () in
-     Hashtbl.iter (fun _ e -> send_update_to_experiment t e u) t.experiments);
+  let sessions = experiment_sessions t in
+  if withdrawn <> [] then
+    send_update_to_experiments t sessions (Msg.update ~withdrawn ());
   nlri_groups_iter groups (fun h nlris ->
       let attrs =
         Attr.with_next_hop info.Neighbor.virtual_ip (Attr_arena.set h)
       in
-      let u = Msg.update ~attrs ~announced:nlris () in
-      Hashtbl.iter (fun _ e -> send_update_to_experiment t e u) t.experiments);
+      send_update_to_experiments t sessions
+        (Msg.update ~attrs ~announced:nlris ()));
   (* Mesh export: real neighbors with a global identity only. Alias
      routes came *from* the mesh and must not echo back into it. *)
   if not (Neighbor.is_alias info) then
     match info.Neighbor.global_ip with
     | None -> ()
     | Some g ->
+        let sessions = mesh_sessions t in
         if withdrawn <> [] then
-          send_update_to_mesh t (Msg.update ~withdrawn ());
+          send_update_to_mesh t sessions (Msg.update ~withdrawn ());
         nlri_groups_iter groups (fun h nlris ->
-            send_update_to_mesh t
+            send_update_to_mesh t sessions
               (Msg.update
                  ~attrs:(Attr.with_next_hop g (Attr_arena.set h))
                  ~announced:nlris ()))
@@ -152,6 +153,7 @@ let mark_ingest_dirty t (ns : neighbor_state) prefix =
 let sync_experiment t (e : experiment_state) =
   if not e.exp_synced then begin
     e.exp_synced <- true;
+    let sessions = [ e.exp_session ] in
     List.iter
       (fun ns ->
         let nid = ns.info.Neighbor.id in
@@ -166,12 +168,12 @@ let sync_experiment t (e : experiment_state) =
             let attrs =
               Attr.with_next_hop ns.info.Neighbor.virtual_ip (Attr_arena.set h)
             in
-            send_update_to_experiment t e
+            send_update_to_experiments t sessions
               (Msg.update ~attrs ~announced:nlris ())))
       (neighbor_states t);
     (* End-of-RIB (RFC 4724): an experiment that held our routes as stale
        across a restart sweeps whatever the sync did not refresh. *)
-    send_update_to_experiment t e (Msg.update ());
+    send_update_to_experiments t sessions (Msg.update ());
     log t "synced full table to experiment %s" e.grant.Control_enforcer.name
   end
 

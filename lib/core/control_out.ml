@@ -394,14 +394,14 @@ let export_exp_route_to_mesh t (e : experiment_state) prefix (v : variant) =
       |> Attr.with_next_hop e.g_ip
       |> Attr.add_community (Export_control.experiment_marker ~ctl_asn)
     in
-    send_update_to_mesh t
+    send_update_to_mesh t (mesh_sessions t)
       (Msg.update ~attrs
          ~announced:[ Msg.nlri ~path_id:(mesh_path_id e v.v_path_id) prefix ]
          ())
   end
 
 let export_exp_withdraw_to_mesh t (e : experiment_state) prefix v_path_id =
-  send_update_to_mesh t
+  send_update_to_mesh t (mesh_sessions t)
     (Msg.update
        ~withdrawn:[ Msg.nlri ~path_id:(mesh_path_id e v_path_id) prefix ]
        ())
@@ -994,6 +994,7 @@ let connect_experiment t ~grant ~mac ?(latency = 0.03) () =
   in
   Hashtbl.replace t.experiments exp_name e;
   Hashtbl.replace t.by_exp_mac mac exp_name;
+  grant_allocation t grant;
   (* Attachment changes ingress attribution (by_exp_mac) and allocation
      ownership (source validation consults the grant set); bump the owner
      generation so stamped flow-cache entries stop being served. *)

@@ -50,11 +50,10 @@ let deliver_to_local_experiment t ~via_mac exp_name packet =
   deliver_wire_to_local_experiment t ~via_mac exp_name
     (Ipv4_packet.encode packet)
 
+(* The quote is the expired packet's header and first 8 payload bytes
+   (RFC 792), written from the record without encoding the rest. *)
 let icmp_ttl_exceeded t (expired : Ipv4_packet.t) =
-  let original =
-    let full = Ipv4_packet.encode expired in
-    String.sub full 0 (min (String.length full) 28)
-  in
+  let original = Ipv4_packet.encode_head expired ~payload:8 in
   t.counters.icmp_sent <- t.counters.icmp_sent + 1;
   Ipv4_packet.make ~src:t.primary_ip ~dst:expired.src
     ~protocol:Ipv4_packet.Icmp

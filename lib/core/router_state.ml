@@ -181,6 +181,9 @@ type t = {
   owner_cache : owner Dcache.t;
       (** destination cache over [owner_trie]; mutate the trie only via
           [owner_insert]/[owner_remove] so the generation stays coherent *)
+  mutable alloc_trie : string Ptrie.V4.t;
+      (** every connected experiment's granted IPv4 allocation -> its
+          name; written by [grant_allocation] only *)
   mutable mesh : mesh_peer list;
   mesh_imports : (string * int, mesh_import) Hashtbl.t;
   remote_exp_routes :
@@ -271,6 +274,7 @@ let create ~engine ?(trace = Trace.create ()) ~name ~asn ~router_id
     by_exp_mac = Hashtbl.create 8;
     owner_trie = Ptrie.V4.empty;
     owner_cache = Dcache.create ();
+    alloc_trie = Ptrie.V4.empty;
     mesh = [];
     mesh_imports = Hashtbl.create 64;
     remote_exp_routes = Hashtbl.create 16;
@@ -375,62 +379,104 @@ let real_neighbors t =
 
 let experiment t name = Hashtbl.find_opt t.experiments name
 
-(* Send a (possibly multi-NLRI) UPDATE to a neighbor, splitting it at the
-   classic 4096-byte boundary, and account messages and NLRI for the
-   packing-ratio counters. Lives here (not in [Control_out]) because both
-   the outbound flush and [Control_in]'s resync path send packed
-   updates. *)
+(* -- the fan-out send ----------------------------------------------------- *)
+
+(* Who a fan-out send goes to, for the message and NLRI counters. *)
+type audience = To_neighbors | To_experiments | To_mesh
+
+let account t audience (piece : Msg.update) =
+  let c = t.counters in
+  let nlri = List.length piece.Msg.announced + List.length piece.Msg.withdrawn in
+  match audience with
+  | To_neighbors ->
+      c.updates_to_neighbors <- c.updates_to_neighbors + 1;
+      c.nlri_to_neighbors <- c.nlri_to_neighbors + nlri
+  | To_experiments ->
+      c.updates_to_experiments <- c.updates_to_experiments + 1;
+      c.nlri_to_experiments <- c.nlri_to_experiments + nlri
+  | To_mesh ->
+      c.updates_to_mesh <- c.updates_to_mesh + 1;
+      c.nlri_to_mesh <- c.nlri_to_mesh + nlri
+
+let rec send_pieces t audience s pieces bytes =
+  match (pieces, bytes) with
+  | piece :: pieces, b :: bytes ->
+      account t audience piece;
+      Session.send_encoded s piece b;
+      send_pieces t audience s pieces bytes
+  | _ -> ()
+
+(* Send one (possibly multi-NLRI) UPDATE to every established session of
+   [sessions], in list order. The UPDATE is split once at the classic
+   4096-byte boundary, and its attribute block and each piece are
+   encoded once, with [split_params]; every session that negotiated
+   those parameters (all experiment and mesh sessions do) gets the same
+   bytes through [Session.send_encoded], whose MRAI queue re-encodes at
+   flush time exactly as [Session.send_update] would. A session that
+   negotiated others (a neighbor without 4-byte ASNs) has each piece
+   encoded for it by [Session.send_update]. Messages and NLRI are counted
+   per piece and per session. *)
+let send_update_to_sessions t audience ~split_params sessions (u : Msg.update) =
+  if List.exists Session.established sessions then begin
+    let block =
+      if u.Msg.attrs = [] then ""
+      else Codec.encode_attrs_block ~params:split_params u.Msg.attrs
+    in
+    let pieces =
+      Codec.split_update ~params:split_params ~attrs_size:(String.length block)
+        u
+    in
+    let bytes =
+      List.map
+        (fun (piece : Msg.update) ->
+          (* Split-off withdrawal pieces carry no attributes. *)
+          let attrs_block = if piece.Msg.attrs == [] then "" else block in
+          Codec.encode_update_spliced ~params:split_params ~attrs_block piece)
+        pieces
+    in
+    List.iter
+      (fun s ->
+        if Session.established s then
+          if Session.send_params s = split_params then
+            send_pieces t audience s pieces bytes
+          else
+            List.iter
+              (fun piece ->
+                account t audience piece;
+                Session.send_update s piece)
+              pieces)
+      sessions
+  end
+
+(* Neighbor sessions split at the classic boundary without ADD-PATH.
+   The outbound flush sends through its own wire cache; this is
+   [Control_in]'s resync path. *)
 let send_update_to_neighbor t ns (u : Msg.update) =
   match ns.session with
-  | Some s when Session.established s ->
-      List.iter
-        (fun (piece : Msg.update) ->
-          t.counters.updates_to_neighbors <-
-            t.counters.updates_to_neighbors + 1;
-          t.counters.nlri_to_neighbors <-
-            t.counters.nlri_to_neighbors
-            + List.length piece.Msg.announced
-            + List.length piece.Msg.withdrawn;
-          Session.send_update s piece)
-        (Codec.split_update u)
-  | _ -> ()
+  | Some s ->
+      send_update_to_sessions t To_neighbors ~split_params:Codec.default_params
+        [ s ] u
+  | None -> ()
 
 (* Experiment and mesh sessions negotiate ADD-PATH, so NLRIs carry 4
    extra bytes each; splitting must account for that or a full packed
    update would exceed the 4096-byte boundary on the wire. *)
 let add_path_params = { Codec.add_path = true; as4 = true }
 
-let send_update_to_experiment t (e : experiment_state) (u : Msg.update) =
-  if Session.established e.exp_session then
-    List.iter
-      (fun (piece : Msg.update) ->
-        t.counters.updates_to_experiments <-
-          t.counters.updates_to_experiments + 1;
-        t.counters.nlri_to_experiments <-
-          t.counters.nlri_to_experiments
-          + List.length piece.Msg.announced
-          + List.length piece.Msg.withdrawn;
-        Session.send_update e.exp_session piece)
-      (Codec.split_update ~params:add_path_params u)
+(* Every experiment's session, in the experiment table's iteration order
+   (the order the per-experiment sends went out in). *)
+let experiment_sessions t =
+  List.rev
+    (Hashtbl.fold (fun _ e acc -> e.exp_session :: acc) t.experiments [])
 
-let send_update_to_mesh t (u : Msg.update) =
-  match t.mesh with
-  | [] -> ()
-  | mesh ->
-      let pieces = Codec.split_update ~params:add_path_params u in
-      List.iter
-        (fun m ->
-          if Session.established m.mesh_session then
-            List.iter
-              (fun (piece : Msg.update) ->
-                t.counters.updates_to_mesh <- t.counters.updates_to_mesh + 1;
-                t.counters.nlri_to_mesh <-
-                  t.counters.nlri_to_mesh
-                  + List.length piece.Msg.announced
-                  + List.length piece.Msg.withdrawn;
-                Session.send_update m.mesh_session piece)
-              pieces)
-        mesh
+let send_update_to_experiments t sessions u =
+  send_update_to_sessions t To_experiments ~split_params:add_path_params
+    sessions u
+
+let mesh_sessions t = List.map (fun m -> m.mesh_session) t.mesh
+
+let send_update_to_mesh t sessions u =
+  send_update_to_sessions t To_mesh ~split_params:add_path_params sessions u
 
 (* -- NLRI grouping ----------------------------------------------------------- *)
 
@@ -536,17 +582,24 @@ let owner_of t ip =
   | Some (Local_exp name) -> Some name
   | Some (Remote_exp _) | None -> None
 
+(* Record a connecting experiment's allocation. Grants are disjoint in
+   practice (the approval workflow hands out distinct prefixes); if two
+   overlap, the longest match answers, and an equal prefix goes to the
+   later grant. *)
+let grant_allocation t (g : Control_enforcer.grant) =
+  t.alloc_trie <-
+    List.fold_left
+      (fun trie p -> Ptrie.V4.add p g.Control_enforcer.name trie)
+      t.alloc_trie g.Control_enforcer.prefixes
+
 (* The experiment whose *allocation* covers [ip] (connected at this PoP),
    regardless of whether it has announced yet — the basis for data-plane
-   source validation. *)
+   source validation, asked on every flow-cache miss: one trie walk,
+   whatever the number of experiments. *)
 let allocation_owner_of t ip =
-  Hashtbl.fold
-    (fun name e acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if Control_enforcer.owns_address e.grant ip then Some name else None)
-    t.experiments None
+  match Ptrie.lookup_v4 ip t.alloc_trie with
+  | Some (_, name) -> Some name
+  | None -> None
 
 (* The platform-global export id of a neighbor (the value used in
    export-control community tags). *)

@@ -159,6 +159,8 @@ type t = {
   by_exp_mac : (Mac.t, string) Hashtbl.t;
   mutable owner_trie : owner Ptrie.V4.t;
   owner_cache : owner Dcache.t;
+  mutable alloc_trie : string Ptrie.V4.t;
+      (** granted allocations -> experiment name; see {!grant_allocation} *)
   mutable mesh : mesh_peer list;
   mesh_imports : (string * int, mesh_import) Hashtbl.t;
   remote_exp_routes :
@@ -244,6 +246,10 @@ val owner_insert : t -> Prefix.t -> owner -> unit
 
 val owner_remove : t -> Prefix.t -> unit
 
+val grant_allocation : t -> Control_enforcer.grant -> unit
+(** Record a connecting experiment's IPv4 allocation for
+    {!allocation_owner_of}. *)
+
 val owner_lookup : t -> Ipv4.t -> owner option
 (** Longest-prefix match of the owner of an address, through the
     generation-stamped destination cache (the per-packet inbound path). *)
@@ -253,19 +259,37 @@ val neighbor_states : t -> neighbor_state list
 val real_neighbors : t -> neighbor_state list
 val experiment : t -> string -> experiment_state option
 
-val send_update_to_neighbor : t -> neighbor_state -> Msg.update -> unit
-(** Send an UPDATE to a neighbor's session when established, splitting
-    it at the classic 4096-byte boundary ({!Bgp.Codec.split_update}) and
-    bumping the [updates_to_neighbors]/[nlri_to_neighbors] counters.
-    Silently drops when the session is down (re-sync on reconnect). *)
+(** {1 Sending UPDATEs}
 
-val send_update_to_experiment : t -> experiment_state -> Msg.update -> unit
-(** Same contract toward an experiment session (ADD-PATH-aware split,
+    The sends toward experiments, mesh peers and a resyncing neighbor
+    share one fan-out send: the UPDATE is split once at the classic
+    4096-byte boundary ({!Bgp.Codec.split_update}), its attribute block
+    and each piece encoded once, and the same bytes handed to every
+    established receiver that negotiated the split's parameters
+    ({!Bgp.Session.send_encoded}); any other receiver encodes its own.
+    Down sessions are skipped (they re-sync on reconnect). Messages and
+    NLRI are counted per piece and per receiving session. The
+    neighbor-facing flush sends through its own wire cache
+    ([Control_out]). *)
+
+val send_update_to_neighbor : t -> neighbor_state -> Msg.update -> unit
+(** Toward one neighbor (no ADD-PATH; the
+    [updates_to_neighbors]/[nlri_to_neighbors] counters). *)
+
+val experiment_sessions : t -> Session.t list
+(** Every experiment's session, in the experiment table's order. Take
+    it once per batch and pass it to {!send_update_to_experiments}. *)
+
+val send_update_to_experiments : t -> Session.t list -> Msg.update -> unit
+(** Toward the given experiment sessions (ADD-PATH-aware split; the
     [updates_to_experiments]/[nlri_to_experiments] counters). *)
 
-val send_update_to_mesh : t -> Msg.update -> unit
-(** Send to every established mesh session, splitting once and counting
-    per receiving session. *)
+val mesh_sessions : t -> Session.t list
+(** Every mesh peer's session, in mesh order. *)
+
+val send_update_to_mesh : t -> Session.t list -> Msg.update -> unit
+(** Toward the given mesh sessions (ADD-PATH-aware split; the
+    [updates_to_mesh]/[nlri_to_mesh] counters). *)
 
 (** {1 NLRI grouping}
 
@@ -297,6 +321,9 @@ val data_plane_bytes : t -> int
 val attribution : t -> (string * int * int * int) list
 val owner_of : t -> Ipv4.t -> string option
 val allocation_owner_of : t -> Ipv4.t -> string option
+(** The connected experiment whose granted allocation covers the
+    address (longest match), announced or not. *)
+
 val export_id : t -> neighbor_id:int -> int
 val neighbor_routes : t -> neighbor_id:int -> Rib.Route.t list
 

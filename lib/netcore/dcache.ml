@@ -35,11 +35,19 @@ let create ?(slots = default_slots) () =
 let generation t = t.generation
 let invalidate t = t.generation <- t.generation + 1
 
-(* All four octets are folded into the slot index: destinations often
-   differ only above the last octet (hosts [x.y.z.9] across many /24s),
-   and indexing by the low bits alone would send them all to one slot. *)
+(* The slot index mixes all four octets: destinations often differ only
+   above the last octet (hosts [x.y.z.9] across many /24s), and indexing
+   by the low bits alone would send them all to one slot. The halves are
+   folded (octet pairs a^c and b^d), then one multiply-add weighs the
+   pairs unequally. An XOR of all four octets maps every address whose
+   octets XOR alike to one slot (10.1.2.3 and 11.0.0.1 both land in slot
+   10), so two such hot destinations evict each other on every
+   alternation; here each pair's octet still moves the index through
+   every slot, so a run of /24s or /16s fills the cache without a
+   collision. *)
 let index t bits =
-  (bits lxor (bits lsr 8) lxor (bits lsr 16) lxor (bits lsr 24)) land t.mask
+  let h = bits lxor (bits lsr 16) in
+  (h + ((h lsr 8) * 0x9b)) land t.mask
 
 let lookup t addr slow src =
   let bits = Ipv4.to_bits addr in

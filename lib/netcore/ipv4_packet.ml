@@ -34,12 +34,10 @@ let make ?(ttl = 64) ?(ident = 0) ?(dscp = 0) ~src ~dst ~protocol payload =
 (* A copy with the TTL decremented; forwarding engines must re-encode. *)
 let decrement_ttl t = { t with ttl = t.ttl - 1 }
 
-(* The header is written in place into one buffer of the exact size, its
-   checksum computed over that buffer, and the payload blitted once. *)
-let encode t =
-  let len = String.length t.payload in
-  let total = header_size + len in
-  let b = Bytes.create total in
+(* The header goes into the first [header_size] bytes of [b], which
+   holds [total] bytes of wire form; its checksum is computed over it in
+   place. *)
+let write_header t b ~total =
   Bytes.set_uint8 b 0 0x45 (* version 4, IHL 5 *);
   Bytes.set_uint8 b 1 ((t.dscp lsl 2) land 0xff);
   Bytes.set_uint16_be b 2 (total land 0xffff);
@@ -50,8 +48,22 @@ let encode t =
   Bytes.set_uint16_be b 10 0;
   Bytes.set_int32_be b 12 (Ipv4.to_int32 t.src);
   Bytes.set_int32_be b 16 (Ipv4.to_int32 t.dst);
-  Bytes.set_uint16_be b 10 (Checksum.of_bytes b ~pos:0 ~len:header_size);
+  Bytes.set_uint16_be b 10 (Checksum.of_bytes b ~pos:0 ~len:header_size)
+
+(* One buffer of the exact size: the payload is blitted once. *)
+let encode t =
+  let len = String.length t.payload in
+  let b = Bytes.create (header_size + len) in
+  write_header t b ~total:(header_size + len);
   Bytes.blit_string t.payload 0 b header_size len;
+  Bytes.unsafe_to_string b
+
+let encode_head t ~payload =
+  let len = String.length t.payload in
+  let kept = min payload len in
+  let b = Bytes.create (header_size + kept) in
+  write_header t b ~total:(header_size + len);
+  Bytes.blit_string t.payload 0 b header_size kept;
   Bytes.unsafe_to_string b
 
 let decode data =

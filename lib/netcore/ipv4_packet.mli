@@ -41,6 +41,13 @@ val encode : t -> string
 (** The wire form, built in one buffer of the exact size: the payload is
     copied once. *)
 
+val encode_head : t -> payload:int -> string
+(** The first [header_size + payload] bytes of {!encode} (all of it when
+    the payload is shorter): the header, whose total length and checksum
+    still describe the whole packet, and the payload's first [payload]
+    bytes. Nothing past them is written — the quote an ICMP error
+    carries. *)
+
 val decode : string -> (t, string) result
 (** Verifies version, IHL, total length, and the header checksum. *)
 

@@ -702,6 +702,63 @@ let test_session_mrai_batches () =
   Sim.Engine.run_until engine 30.;
   checki "flushed after MRAI" 2 !got
 
+(* On a session with an MRAI, [send_encoded] queues the update and the
+   flush re-encodes it, so the wire carries what [send_update] would have
+   sent, at the same time. Two MRAI sessions get the same updates, one
+   through each call; their transcripts must match byte for byte, both
+   before the interval expires (nothing) and after it. *)
+let test_session_mrai_send_encoded () =
+  let engine = Sim.Engine.create () in
+  let transcript send =
+    let config_a =
+      Session.config ~local_asn:(asn 47065) ~local_id:(ip "10.0.0.1")
+        ~mrai:10. ~capabilities:[ Capability.As4 (asn 47065) ] ()
+    in
+    let config_b =
+      Session.config ~local_asn:(asn 100) ~local_id:(ip "10.0.0.2")
+        ~capabilities:[ Capability.As4 (asn 100) ] ()
+    in
+    let pair =
+      Sim.Bgp_wire.make engine ~config_active:config_a
+        ~config_passive:config_b ()
+    in
+    let wire = Buffer.create 256 in
+    Sim.Link.attach pair.Sim.Bgp_wire.link Sim.Link.B (fun data ->
+        Buffer.add_string wire data;
+        Session.receive_bytes pair.Sim.Bgp_wire.passive data);
+    Sim.Bgp_wire.start pair;
+    (pair.Sim.Bgp_wire.active, wire, send)
+  in
+  let plain = transcript Session.send_update in
+  let encoded =
+    transcript (fun s u ->
+        Session.send_encoded s u
+          (Codec.encode ~params:(Session.send_params s) (Msg.Update u)))
+  in
+  Sim.Engine.run_until engine 5.;
+  let opened (_, wire, _) = Buffer.length wire in
+  let before = (opened plain, opened encoded) in
+  let updates =
+    [
+      sample_update ();
+      { (sample_update ()) with Msg.attrs = []; announced = [] };
+      Msg.update
+        ~attrs:(Attr.with_med 20 (sample_update ()).Msg.attrs)
+        ~announced:[ Msg.nlri (pfx "184.164.226.0/24") ]
+        ();
+    ]
+  in
+  List.iter
+    (fun u -> List.iter (fun (s, _, send) -> send s u) [ plain; encoded ])
+    updates;
+  Sim.Engine.run_until engine 10.;
+  checkb "held back by MRAI on both" true
+    ((opened plain, opened encoded) = before);
+  Sim.Engine.run_until engine 30.;
+  let bytes (_, wire, _) = Buffer.contents wire in
+  checkb "flushed" true (opened plain > fst before);
+  checks "same transcript" (bytes plain) (bytes encoded)
+
 (* -- robustness: failure causes, teardown, reconnect, graceful restart ------------------------ *)
 
 (* A codec error must be recorded as [last_error] before the Stop it
@@ -1231,6 +1288,8 @@ let () =
             test_session_hold_time_negotiation;
           Alcotest.test_case "route refresh" `Quick test_session_route_refresh;
           Alcotest.test_case "mrai batches" `Quick test_session_mrai_batches;
+          Alcotest.test_case "mrai send_encoded matches send_update" `Quick
+            test_session_mrai_send_encoded;
         ] );
       ( "robustness",
         [

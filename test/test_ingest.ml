@@ -396,6 +396,235 @@ let test_unknown_neighbor_rejected () =
       Router.ingest_updates fx.router
         [| (bogus, Router.Update (Msg.update ())) |])
 
+(* -- experiment and mesh fan-out transcripts ------------------------------- *)
+
+(* One router with three neighbors, three experiments (the third connects
+   after the first waves and takes the full-table sync) and one mesh
+   peer. Every byte the router sends each experiment and the mesh peer is
+   recorded. The script packs one neighbor's 600 prefixes into a batch
+   that splits at the 4096-byte boundary, mixes attribute groups,
+   withdraws most of the batch, refreshes one experiment and flaps a
+   neighbor. *)
+type fanout = {
+  fo_engine : Sim.Engine.t;
+  fo_router : Router.t;
+  fo_pairs : Sim.Bgp_wire.pair array;
+  fo_taps : Buffer.t array;  (** experiments e0, e1, e2, then the mesh peer *)
+}
+
+let fanout_grant i =
+  Control_enforcer.grant ~asns:[ asn (61574 + i) ]
+    ~prefixes:[ Prefix.make (Ipv4.of_octets 184 164 (224 + i) 0) 24 ]
+    (Printf.sprintf "fanout-%d" i)
+
+let tap_experiment fo i =
+  let pair =
+    Router.connect_experiment fo.fo_router ~grant:(fanout_grant i)
+      ~mac:(Mac.local ~pool:0xe0 (i + 1))
+      ()
+  in
+  Sim.Link.attach pair.Sim.Bgp_wire.link Sim.Link.A (fun data ->
+      Buffer.add_string fo.fo_taps.(i) data;
+      Session.receive_bytes pair.Sim.Bgp_wire.active data);
+  Sim.Bgp_wire.start pair;
+  pair
+
+let make_fanout ~ingest_batching =
+  let engine = Sim.Engine.create () in
+  let global_pool =
+    Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
+  in
+  let make name router_id local_pool =
+    let r =
+      Router.create ~engine ~name ~asn:(asn 47065) ~router_id:(ip router_id)
+        ~primary_ip:(ip router_id) ~local_pool:(pfx local_pool) ~global_pool
+        ~ingest_batching ()
+    in
+    Router.activate r;
+    r
+  in
+  let router = make "fanout" "10.255.0.1" "127.65.0.0/16" in
+  let peer = make "fanout-peer" "10.255.0.2" "127.66.0.0/16" in
+  let pairs =
+    Array.init n_neighbors (fun i ->
+        snd
+          (Router.add_neighbor router ~asn:(asn (100 + i)) ~ip:(neighbor_ip i)
+             ~kind:Neighbor.Transit ~remote_id:(neighbor_ip i) ()))
+  in
+  Array.iter Sim.Bgp_wire.start pairs;
+  let fo =
+    {
+      fo_engine = engine;
+      fo_router = router;
+      fo_pairs = pairs;
+      fo_taps = Array.init 4 (fun _ -> Buffer.create 4096);
+    }
+  in
+  ignore (tap_experiment fo 0);
+  ignore (tap_experiment fo 1);
+  (* The router is the mesh pair's active side: what it sends arrives at
+     link endpoint B. *)
+  let mesh = Router.connect_mesh router peer () in
+  Sim.Link.attach mesh.Sim.Bgp_wire.link Sim.Link.B (fun data ->
+      Buffer.add_string fo.fo_taps.(3) data;
+      Session.receive_bytes mesh.Sim.Bgp_wire.passive data);
+  Sim.Engine.run_until engine 5.;
+  fo
+
+let fanout_script fo =
+  let send nbr u =
+    Session.send_update fo.fo_pairs.(nbr).Sim.Bgp_wire.active u
+  in
+  let tick () = Sim.Engine.run_until fo.fo_engine (Sim.Engine.now fo.fo_engine +. 1.) in
+  send 0
+    (Msg.update ~attrs:(attr_variant ~nbr:0 0)
+       ~announced:(List.init 600 (fun p -> Msg.nlri (op_prefix p)))
+       ());
+  for p = 0 to 39 do
+    send 1
+      (Msg.update ~attrs:(attr_variant ~nbr:1 (p mod 8))
+         ~announced:[ Msg.nlri (op_prefix p) ]
+         ())
+  done;
+  tick ();
+  let e2 = tap_experiment fo 2 in
+  Sim.Engine.run_until fo.fo_engine (Sim.Engine.now fo.fo_engine +. 5.);
+  send 0
+    (Msg.update ~withdrawn:(List.init 550 (fun p -> Msg.nlri (op_prefix p))) ());
+  for p = 20 to 59 do
+    send 2
+      (Msg.update ~attrs:(attr_variant ~nbr:2 (p mod 3))
+         ~announced:[ Msg.nlri (op_prefix p) ]
+         ())
+  done;
+  tick ();
+  Session.send_route_refresh e2.Sim.Bgp_wire.active;
+  tick ();
+  let fault = Sim.Fault.create fo.fo_engine in
+  Sim.Fault.kill_pair fault ~at:(Sim.Engine.now fo.fo_engine +. 0.01) fo.fo_pairs.(1);
+  Sim.Engine.run_until fo.fo_engine (Sim.Engine.now fo.fo_engine +. 30.)
+
+let fanout_digests ~ingest_batching =
+  let fo = make_fanout ~ingest_batching in
+  fanout_script fo;
+  Router.flush_reexports fo.fo_router;
+  Sim.Engine.run_until fo.fo_engine (Sim.Engine.now fo.fo_engine +. 30.);
+  Array.to_list
+    (Array.mapi
+       (fun i buf ->
+         Fmt.str "%s %d bytes %s"
+           (if i < 3 then Printf.sprintf "e%d" i else "mesh")
+           (Buffer.length buf)
+           (Digest.to_hex (Digest.string (Buffer.contents buf))))
+       fo.fo_taps)
+
+(* The transcripts as the per-experiment send path produced them (one
+   split and one encoding per experiment and message), before the fan-out
+   encoded each message once. The eager path sends one UPDATE per
+   NLRI. *)
+let fanout_wires_batched =
+  [
+    "e0 10787 bytes 8162bec147e541357f65f8c0e24ae1eb";
+    "e1 10787 bytes 8162bec147e541357f65f8c0e24ae1eb";
+    "e2 12546 bytes e1042f43d66345920d16dfc27f82d0fa";
+    "mesh 10768 bytes 09ad5bcb30f66b6081eb6ec01be63bc9";
+  ]
+
+let fanout_wires_eager =
+  [
+    "e0 62077 bytes 1badefa8a2a5fb9ee6743971837fdae0";
+    "e1 62077 bytes 1badefa8a2a5fb9ee6743971837fdae0";
+    "e2 27296 bytes 1db006461167fbc188a1a711d7ada917";
+    "mesh 62058 bytes 60961f1624ddd127ff53994999ea4e6e";
+  ]
+
+let test_fanout_transcripts () =
+  Alcotest.(check (list string))
+    "batched" fanout_wires_batched
+    (fanout_digests ~ingest_batching:true);
+  Alcotest.(check (list string))
+    "eager" fanout_wires_eager
+    (fanout_digests ~ingest_batching:false)
+
+(* Minor words of one ingest flush toward [experiments] experiments. The
+   neighbor re-announces [prefixes] with the attribute variant of the
+   round ([groups] variants per round, so [groups] packed UPDATEs per
+   flush); the third round's flush is measured, after the first two
+   have grown every table and queue to size. *)
+let flush_words ~experiments ~prefixes ~groups =
+  let engine = Sim.Engine.create () in
+  let global_pool =
+    Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f
+  in
+  let router =
+    Router.create ~engine ~name:"fanout-gc" ~asn:(asn 47065)
+      ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
+      ~local_pool:(pfx "127.65.0.0/16") ~global_pool ()
+  in
+  Router.activate router;
+  let nid, npair =
+    Router.add_neighbor router ~asn:(asn 100) ~ip:(neighbor_ip 0)
+      ~kind:Neighbor.Transit ~remote_id:(neighbor_ip 0) ()
+  in
+  Sim.Bgp_wire.start npair;
+  for i = 0 to experiments - 1 do
+    let pair =
+      Router.connect_experiment router ~grant:(fanout_grant i)
+        ~mac:(Mac.local ~pool:0xe0 (i + 1))
+        ()
+    in
+    Sim.Bgp_wire.start pair
+  done;
+  Sim.Engine.run_until engine 5.;
+  (* The event heap grows by doubling and never shrinks: grow it past
+     anything the rounds queue, so no doubling lands in the measurement. *)
+  for _ = 1 to 4096 do
+    Sim.Engine.run_after engine 0. ignore
+  done;
+  Sim.Engine.run_until engine 5.;
+  let round r =
+    let batch =
+      Array.init groups (fun g ->
+          ( nid,
+            Router.Update
+              (Msg.update
+                 ~attrs:(attr_variant ~nbr:0 ((2 * g) + (r mod 2)))
+                 ~announced:
+                   (List.init (prefixes / groups) (fun p ->
+                        Msg.nlri (op_prefix ((g * (prefixes / groups)) + p))))
+                 ()) ))
+    in
+    Router.ingest_updates router batch;
+    let before = Gc.minor_words () in
+    Router.flush_reexports router;
+    let words = Gc.minor_words () -. before in
+    Sim.Engine.run_until engine (Sim.Engine.now engine +. 1.);
+    int_of_float words
+  in
+  ignore (round 0);
+  ignore (round 1);
+  round 2
+
+(* Two more experiments cost each flush a fixed amount per message and
+   none per byte: 21 words per message sent (the link's delivery event)
+   and 6 words per experiment per neighbor batch (its entry in the
+   session list). The same UPDATE is encoded once whatever the number of
+   experiments. Encoding per experiment read 7,024, 3,712 and 8,520 words
+   here. *)
+let test_fanout_words () =
+  List.iter
+    (fun (prefixes, groups) ->
+      let extra =
+        flush_words ~experiments:3 ~prefixes ~groups
+        - flush_words ~experiments:1 ~prefixes ~groups
+      in
+      checki
+        (Printf.sprintf "%d prefixes in %d UPDATEs: words for 2 more experiments"
+           prefixes groups)
+        (2 * ((21 * groups) + 6))
+        extra)
+    [ (8, 8); (400, 1); (400, 4) ]
+
 (* -- churn generator determinism ------------------------------------------ *)
 
 let small_plan seed =
@@ -466,6 +695,13 @@ let () =
             test_non_update_ignored;
           Alcotest.test_case "unknown neighbor rejected" `Quick
             test_unknown_neighbor_rejected;
+        ] );
+      ( "fanout",
+        [
+          Alcotest.test_case "experiment and mesh transcripts are pinned"
+            `Quick test_fanout_transcripts;
+          Alcotest.test_case "more experiments add no encoding" `Quick
+            test_fanout_words;
         ] );
       ( "churn",
         [

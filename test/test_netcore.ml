@@ -758,6 +758,47 @@ let prop_ipv4_encode_matches_writer =
       String.equal wire (writer_encode p)
       && Ipv4_packet.decode wire = Ok p)
 
+(* The ICMP quote: header plus the first 8 payload bytes, as the full
+   encoding's prefix, payloads shorter than 8 included. The packet is
+   decoded from wire bytes whose ECN and flag bits are set: the record
+   drops them, and the quote, like the slow path's full encoding, carries
+   them as zeroes. *)
+let prop_ipv4_encode_head =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((src, dst, ttl, ident), (dscp, ecn, df, payload)) ->
+          let p =
+            Ipv4_packet.make ~ttl ~ident ~dscp ~src:(Ipv4.of_int32 src)
+              ~dst:(Ipv4.of_int32 dst) ~protocol:Ipv4_packet.Udp payload
+          in
+          let b = Bytes.of_string (Ipv4_packet.encode p) in
+          Bytes.set_uint8 b 1 (Bytes.get_uint8 b 1 lor ecn);
+          Bytes.set_uint16_be b 6 (if df then 0x4000 else 0);
+          Bytes.set_uint16_be b 10 0;
+          Bytes.set_uint16_be b 10
+            (Checksum.of_bytes b ~pos:0 ~len:Ipv4_packet.header_size);
+          match Ipv4_packet.decode (Bytes.to_string b) with
+          | Ok p -> p
+          | Error e -> failwith e)
+        (pair
+           (quad
+              (map Int32.of_int (int_bound 0xffff_ffff))
+              (map Int32.of_int (int_bound 0xffff_ffff))
+              (int_bound 255) (int_bound 0xffff))
+           (quad (int_bound 63) (int_bound 3) bool
+              (string_size ~gen:char
+                 (frequency [ (1, int_bound 12); (1, int_bound 1480) ])))))
+  in
+  QCheck.Test.make ~name:"ipv4 encode_head is the encoding's first bytes"
+    ~count:300
+    (QCheck.make ~print:(Fmt.to_to_string Ipv4_packet.pp) gen)
+    (fun p ->
+      let full = Ipv4_packet.encode p in
+      String.equal
+        (Ipv4_packet.encode_head p ~payload:8)
+        (String.sub full 0 (min (String.length full) 28)))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -772,6 +813,7 @@ let qcheck_cases =
       prop_checksum_patch_verifies;
       prop_ipv4_packet_roundtrip;
       prop_ipv4_encode_matches_writer;
+      prop_ipv4_encode_head;
     ]
 
 let () =

@@ -295,6 +295,37 @@ let test_fib_hit_allocates_nothing () =
     | Some e, None -> e.Rib.Fib.neighbor = 1
     | _ -> false)
 
+(* 10.1.2.3 and 11.0.0.1 XOR their octets alike (both 10); folded that
+   way they shared one slot, and alternating lookups evicted each other
+   and walked the trie every time (46,000 words for these 2,000). *)
+let test_fib_alternating_pair_stays_cached () =
+  let f = Rib.Fib.create () in
+  Rib.Fib.insert f (pfx "10.0.0.0/8")
+    { Rib.Fib.next_hop = ip "1.1.1.1"; neighbor = 1 };
+  Rib.Fib.insert f (pfx "11.0.0.0/8")
+    { Rib.Fib.next_hop = ip "2.2.2.2"; neighbor = 2 };
+  let a = ip "10.1.2.3" and b = ip "11.0.0.1" in
+  let lookups () =
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (Rib.Fib.lookup f a));
+      ignore (Sys.opaque_identity (Rib.Fib.lookup f b))
+    done
+  in
+  lookups ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let alternating = words lookups in
+  checki "0 words for 2,000 alternating lookups" 0
+    (int_of_float (alternating -. empty));
+  checkb "each address keeps its own entry" true
+    (match (Rib.Fib.lookup f a, Rib.Fib.lookup f b) with
+    | Some ea, Some eb -> ea.Rib.Fib.neighbor = 1 && eb.Rib.Fib.neighbor = 2
+    | _ -> false)
+
 (* A write that changes no binding is a no-op: re-inserting an equal
    entry (a fresh record, same next hop and neighbor — what every
    attribute-only re-announcement writes) keeps the count and the
@@ -411,6 +442,8 @@ let () =
             test_fib_equal_insert_noop;
           Alcotest.test_case "a cached hit allocates nothing" `Quick
             test_fib_hit_allocates_nothing;
+          Alcotest.test_case "an alternating pair stays cached" `Quick
+            test_fib_alternating_pair_stays_cached;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -520,6 +520,78 @@ let test_data_transform_chain () =
     | Data_enforcer.Allowed p -> p.Ipv4_packet.dscp = 46
     | _ -> false)
 
+(* The router's allocation owner (the source-validation [~owner_of]
+   every PoP installs) is a trie over the granted allocations; for
+   disjoint grants it answers as a scan over every experiment's grant
+   does. Grants take 1-3 prefixes from a pool of disjoint /16s and /24s;
+   queries are a host inside each granted prefix plus random addresses. *)
+let prop_allocation_owner_matches_scan =
+  let pool =
+    Array.append
+      (Array.init 16 (fun i -> Prefix.make (Ipv4.of_octets 10 (16 * i) 0 0) 16))
+      (Array.init 16 (fun i ->
+           Prefix.make (Ipv4.of_octets 184 164 (224 + i) 0) 24))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (map
+           (fun (order, sizes) ->
+             let order = Array.of_list order in
+             let next = ref 0 in
+             List.mapi
+               (fun k size ->
+                 let prefixes =
+                   List.init size (fun _ ->
+                       let p = pool.(order.(!next)) in
+                       incr next;
+                       p)
+                 in
+                 Control_enforcer.grant ~asns:[ asn (64512 + k) ] ~prefixes
+                   (Printf.sprintf "exp%02d" k))
+               sizes)
+           (pair
+              (shuffle_l (List.init (Array.length pool) Fun.id))
+              (list_size (int_range 1 10) (int_range 1 3))))
+        (list_size (int_range 1 20) (map Int32.of_int (int_bound 0xffff_ffff))))
+  in
+  QCheck.Test.make ~name:"allocation owner matches a scan of the grants"
+    ~count:100 (QCheck.make gen) (fun (grants, randoms) ->
+      let engine = Sim.Engine.create () in
+      let router =
+        Router.create ~engine ~name:"alloc" ~asn:(asn 47065)
+          ~router_id:(ip "10.255.0.1") ~primary_ip:(ip "10.255.0.1")
+          ~local_pool:(pfx "127.65.0.0/16")
+          ~global_pool:
+            (Addr_pool.create ~base:(pfx "127.127.0.0/16") ~mac_pool:0x7f)
+          ()
+      in
+      List.iteri
+        (fun k g ->
+          ignore
+            (Router.connect_experiment router ~grant:g
+               ~mac:(Mac.local ~pool:0xe0 (k + 1))
+               ()))
+        grants;
+      let scan a =
+        List.find_map
+          (fun (g : Control_enforcer.grant) ->
+            if Control_enforcer.owns_address g a then
+              Some g.Control_enforcer.name
+            else None)
+          grants
+      in
+      let queries =
+        List.concat_map
+          (fun (g : Control_enforcer.grant) ->
+            List.map (fun p -> Prefix.host p 7) g.Control_enforcer.prefixes)
+          grants
+        @ List.map Ipv4.of_int32 randoms
+      in
+      List.for_all
+        (fun a -> Router.allocation_owner_of router a = scan a)
+        queries)
+
 (* -- arp client -------------------------------------------------------------------------- *)
 
 let test_arp_resolution () =
@@ -1450,6 +1522,7 @@ let () =
         ] );
       ( "data_enforcer",
         [
+          QCheck_alcotest.to_alcotest prop_allocation_owner_matches_scan;
           Alcotest.test_case "source validation" `Quick test_data_source_validation;
           Alcotest.test_case "shaper" `Quick test_data_shaper;
           Alcotest.test_case "ttl guard" `Quick test_data_ttl_guard;
